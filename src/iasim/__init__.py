@@ -1,29 +1,20 @@
 """Link-level simulator and BER toolkit for aligned interference networks."""
 
-from .network import (ChannelSet, NetworkConfig, csi_error_stats,
-                      sample_channel_set, sample_channel_batch, substream)
+from .network import NetworkConfig, substream
 from .solvers import (IaSolution, evaluate_true_sinr, interference_leakage,
                       maxsinr_solve, minil_solve)
-from .svdsm import SmSolution, sm_equivalent_channels, svd_decompose
 from .modem import (BerEstimate, ConstellationShape, ber_awgn_instant,
-                    demodulate, maxsinr_predicted_ber, minil_avg_ber,
-                    modulate, shape_for_bits, svd_avg_ber)
-from .bitload import (BitAllocation, ModeDecision, greedy_bitload,
-                      load_maxsinr, load_minil, load_svd, select_mode)
-from .simulate import (estimate_ber, fig1_stats, run_frame, run_frames,
-                       sweep)
+                    demodulate, minil_avg_ber, modulate, shape_for_bits,
+                    svd_avg_ber)
+from .bitload import greedy_bitload
+from .simulate import estimate_ber, fig1_stats, run_frames, sweep
 
 __all__ = [
-    "BerEstimate", "BitAllocation", "ChannelSet", "ConstellationShape",
-    "IaSolution", "ModeDecision", "NetworkConfig", "SmSolution",
-    "ber_awgn_instant", "csi_error_stats", "demodulate", "estimate_ber",
-    "evaluate_true_sinr", "fig1_stats", "greedy_bitload",
-    "interference_leakage", "load_maxsinr", "load_minil", "load_svd",
-    "maxsinr_predicted_ber", "maxsinr_solve", "minil_avg_ber",
-    "minil_solve", "modulate", "run_frame", "run_frames",
-    "sample_channel_batch", "sample_channel_set", "select_mode",
-    "shape_for_bits", "sm_equivalent_channels", "substream",
-    "svd_avg_ber", "svd_decompose", "sweep",
+    "BerEstimate", "ConstellationShape", "IaSolution", "NetworkConfig",
+    "ber_awgn_instant", "demodulate", "estimate_ber", "evaluate_true_sinr",
+    "fig1_stats", "greedy_bitload", "interference_leakage", "maxsinr_solve",
+    "minil_avg_ber", "minil_solve", "modulate", "run_frames",
+    "shape_for_bits", "substream", "svd_avg_ber", "sweep",
 ]
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Greedy per-channel bit allocation and adaptive mode selection.
+"""Greedy per-channel bit allocation.
 
 For a total rate of R bits per channel use, every bit carries power
 KP/R, so a channel loaded with b bits transmits at power (KP/R)*b with a
@@ -7,42 +7,13 @@ equivalent channel minimizes the rate-weighted average of the per-channel
 bit error probabilities; the procedure terminates after exactly R steps.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .modem import ber_awgn_instant, maxsinr_predicted_ber, shape_for_bits
-from .solvers import IaSolution, maxsinr_solve
-from .svdsm import SmSolution, sm_equivalent_channels
 
 MAX_BITS_PER_CHANNEL = 6  # BER expressions are validated up to 64-QAM
 
 MODE_MINIL = "minil"
 MODE_MAXSINR = "maxsinr"
 MODE_SVD = "svd"
-MODES = (MODE_MINIL, MODE_MAXSINR, MODE_SVD)
-
-
-@dataclass
-class BitAllocation:
-    """Integer bit counts per equivalent channel plus their powers."""
-
-    bits: np.ndarray            # (n_channels,) nonnegative ints, sum R
-    channel_power: np.ndarray   # (KP/R) * bits, sums to KP
-    predicted_ber: float        # (1/R) * sum_i P_b(i) * bits[i]
-
-    @property
-    def shapes(self):
-        return [shape_for_bits(int(b)) if b > 0 else None for b in self.bits]
-
-
-@dataclass
-class ModeDecision:
-    """Per-frame transmission-mode choice with its predicted error rate."""
-
-    mode: str
-    allocation: BitAllocation
-    predicted_ber: float
 
 
 def check_rate_budget(n_channels: int, total_rate: int):
@@ -111,89 +82,3 @@ def greedy_bitload_table(ber_table: np.ndarray, total_rate: int) -> np.ndarray:
         contrib[rows, best] = (
             ber_table[rows, best, bits[rows, best] - 1] * bits[rows, best])
     return bits
-
-
-def _allocation(bits: np.ndarray, kp: float, total_rate: int,
-                ber_of) -> BitAllocation:
-    power = kp / total_rate * bits
-    pred = sum(ber_of(i, int(b)) * b for i, b in enumerate(bits) if b > 0)
-    return BitAllocation(bits=bits, channel_power=power,
-                         predicted_ber=float(pred) / total_rate)
-
-
-def load_minil(sol: IaSolution, cfg) -> BitAllocation:
-    """Bit loading over the aligned equivalent channels.
-
-    Channel i at b bits sees symbol SNR |z_i|^2 * (KP/R) * b; the
-    precoders and combiners are left untouched (alignment is
-    power-scale invariant).
-    """
-    kp = cfg.k_pairs * cfg.power_p
-    r = cfg.total_rate
-    gains = np.abs(sol.z) ** 2
-
-    def ber_of(i, b):
-        return ber_awgn_instant(shape_for_bits(b), gains[i] * kp / r * b)
-
-    bits = greedy_bitload(ber_of, cfg.k_pairs, r)
-    return _allocation(bits, kp, r, ber_of)
-
-
-def load_svd(sol: SmSolution, cfg) -> BitAllocation:
-    """Bit loading over the eigenmodes of the active pair's channel."""
-    kp = cfg.k_pairs * cfg.power_p
-    r = cfg.total_rate
-    gains = sm_equivalent_channels(sol) ** 2
-
-    def ber_of(i, b):
-        return ber_awgn_instant(shape_for_bits(b), gains[i] * kp / r * b)
-
-    bits = greedy_bitload(ber_of, sol.n_min, r)
-    return _allocation(bits, kp, r, ber_of)
-
-
-def load_maxsinr(channels, cfg, rng: np.random.Generator,
-                 init_v=None) -> tuple[BitAllocation, IaSolution]:
-    """Bit loading with a single transceiver re-design pass.
-
-    Runs the SINR-maximizing design at equal powers, allocates bits using
-    the per-channel SINRs scaled to per-bit power, then re-runs the design
-    once with the loaded powers (warm-started) and recomputes the
-    predicted error rate from the final SINRs.
-    """
-    channels = np.asarray(channels, dtype=complex)
-    kp = cfg.k_pairs * cfg.power_p
-    r = cfg.total_rate
-    sol0 = maxsinr_solve(channels, cfg.power_p, cfg.iterations, rng,
-                         init_v=init_v)
-
-    def ber_of0(i, b):
-        return maxsinr_predicted_ber(shape_for_bits(b),
-                                     sol0.sinr[i] * (kp / r) * b / cfg.power_p)
-
-    bits = greedy_bitload(ber_of0, cfg.k_pairs, r)
-    powers = kp / r * bits
-    sol1 = maxsinr_solve(channels, powers, cfg.iterations, rng,
-                         init_v=sol0.v)
-
-    def ber_of1(i, b):
-        return maxsinr_predicted_ber(shape_for_bits(b), sol1.sinr[i])
-
-    alloc = _allocation(bits, kp, r, ber_of1)
-    return alloc, sol1
-
-
-def select_mode(minil_alloc: BitAllocation, maxsinr_alloc: BitAllocation,
-                svd_alloc: BitAllocation) -> ModeDecision:
-    """Pick the mode with the lowest predicted BER for the frame.
-
-    Exact ties resolve in the order Max-SINR, SVD-SM, MinIL; the decision
-    applies to every pair for the whole frame.
-    """
-    ranked = [
-        (maxsinr_alloc.predicted_ber, MODE_MAXSINR, maxsinr_alloc),
-        (svd_alloc.predicted_ber, MODE_SVD, svd_alloc),
-        (minil_alloc.predicted_ber, MODE_MINIL, minil_alloc),
-    ]
-    ber, mode, alloc = min(ranked, key=lambda t: t[0])
-    return ModeDecision(mode=mode, allocation=alloc, predicted_ber=ber)

@@ -8,6 +8,7 @@ one CSV per experiment.
 
 import argparse
 import csv
+import math
 import sys
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
@@ -81,8 +82,17 @@ def parse_config(path) -> Experiment:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         raw[key] = value
 
+    def integer(key, text):
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not value.is_integer():
+            raise ValueError(f"{path}: {key} must be an integer, got {text!r}")
+        return int(value)
+
     def geti(key, default):
-        return int(float(raw[key])) if key in raw else default
+        return integer(key, raw[key]) if key in raw else default
 
     cfg = NetworkConfig(
         k_pairs=geti("k", 3), nt=geti("nt", 2), nr=geti("nr", 2),
@@ -99,7 +109,11 @@ def parse_config(path) -> Experiment:
         if mode not in RUN_MODES:
             raise ValueError(f"unknown mode {mode!r}; choose from {RUN_MODES}")
     loading_txt = raw.get("loading", "0")
-    loading = [bool(int(float(x))) for x in loading_txt.split(",")]
+    loading = [integer("loading", x.strip()) for x in loading_txt.split(",")]
+    if not set(loading) <= {0, 1}:
+        raise ValueError(
+            f"{path}: loading must be 0 or 1, got {loading_txt!r}")
+    loading = [bool(x) for x in loading]
 
     exp = Experiment(name=path.stem, cfg=cfg, snr_db=snr_db, epsilon=epsilon,
                      modes=modes, loading=loading,

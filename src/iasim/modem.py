@@ -217,12 +217,6 @@ def minil_avg_ber(shape: ConstellationShape, p: float, epsilon: float = 0.0,
     beta = 6.0 * sq * p_eff / denom
     return float((w * _rayleigh_q_mean(beta)).sum() / shape.bits)
 
-
-def maxsinr_predicted_ber(shape: ConstellationShape, sinr) -> float:
-    """BER predicted from a post-processing SINR, interference as noise."""
-    return ber_awgn_instant(shape, sinr)
-
-
 @lru_cache(maxsize=None)
 def _eigensum_coeffs(n_min: int, n_max: int):
     """Coefficients c_j of the combined eigenmode average.

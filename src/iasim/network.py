@@ -7,7 +7,8 @@ the true channel is composed from an estimate and an independent error
 term, h = sqrt(1-eps)*h_hat + sqrt(eps)*w.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +27,14 @@ class NetworkConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("k_pairs", "nt", "nr", "rate_per_pair", "iterations",
+                     "seed"):
+            value = getattr(self, name)
+            if (isinstance(value, bool)
+                    or not isinstance(value, (int, np.integer))):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not math.isfinite(self.power_p):
+            raise ValueError(f"power_p must be finite, got {self.power_p}")
         if self.k_pairs < 1 or self.nt < 1 or self.nr < 1:
             raise ValueError("k_pairs, nt and nr must all be >= 1")
         if self.power_p <= 0:
@@ -36,6 +45,8 @@ class NetworkConfig:
             raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon}")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     @property
     def total_rate(self) -> int:
@@ -74,138 +85,3 @@ def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     re = rng.standard_normal(shape)
     im = rng.standard_normal(shape)
     return (re + 1j * im) / np.sqrt(2.0)
-
-
-@dataclass
-class ChannelSet:
-    """One frame of channels: estimates, error terms, and true channels.
-
-    All arrays have shape (K, K, nr, nt); index [k, l] is the matrix from
-    transmitter l into receiver k.  The composition invariant
-    h == sqrt(1-eps)*h_hat + sqrt(eps)*w holds exactly.
-    """
-
-    h_hat: np.ndarray
-    w: np.ndarray
-    h: np.ndarray = field(repr=False)
-    epsilon: float = 0.0
-
-    @property
-    def k_pairs(self) -> int:
-        return self.h.shape[0]
-
-    def direct(self, k: int, true: bool = True) -> np.ndarray:
-        """Direct channel of pair k (true or estimated)."""
-        return self.h[k, k] if true else self.h_hat[k, k]
-
-
-def _compose(h_hat: np.ndarray, w: np.ndarray, epsilon: float) -> np.ndarray:
-    return np.sqrt(1.0 - epsilon) * h_hat + np.sqrt(epsilon) * w
-
-
-def sample_channel_set(cfg: NetworkConfig, rng: np.random.Generator) -> ChannelSet:
-    """Draw one frame of i.i.d. CN(0,1) channels from `rng`.
-
-    h_hat and w are generated independently (in that order) and the true
-    channel is composed from them; identical (cfg, stream state) gives
-    bit-identical output.
-    """
-    k = cfg.k_pairs
-    shape = (k, k, cfg.nr, cfg.nt)
-    h_hat = complex_normal(rng, shape)
-    w = complex_normal(rng, shape)
-    return ChannelSet(h_hat=h_hat, w=w, h=_compose(h_hat, w, cfg.epsilon),
-                      epsilon=cfg.epsilon)
-
-
-def sample_channel_batch(cfg: NetworkConfig, frame_indices) -> ChannelSet:
-    """Sample many frames at once, one substream per frame index.
-
-    Returns a ChannelSet whose arrays carry a leading frame axis
-    (F, K, K, nr, nt).  Frame f equals sample_channel_set(cfg,
-    substream(cfg.seed, frame_indices[f])) exactly.
-    """
-    frame_indices = np.asarray(frame_indices)
-    k = cfg.k_pairs
-    shape = (k, k, cfg.nr, cfg.nt)
-    h_hat = np.empty((len(frame_indices),) + shape, dtype=complex)
-    w = np.empty_like(h_hat)
-    for f, idx in enumerate(frame_indices):
-        rng = substream(cfg.seed, int(idx))
-        h_hat[f] = complex_normal(rng, shape)
-        w[f] = complex_normal(rng, shape)
-    return ChannelSet(h_hat=h_hat, w=w, h=_compose(h_hat, w, cfg.epsilon),
-                      epsilon=cfg.epsilon)
-
-
-def csi_error_stats(sets) -> dict:
-    """Empirical moments of a collection of ChannelSets.
-
-    Reports per-entry mean power of h, h_hat and w, and the correlation
-    of corresponding entries of h and h_hat (approximately sqrt(1-eps)).
-    """
-    sets = list(sets)
-    if not sets:
-        raise ValueError("csi_error_stats needs at least one ChannelSet")
-    h = np.concatenate([cs.h.ravel() for cs in sets])
-    h_hat = np.concatenate([cs.h_hat.ravel() for cs in sets])
-    w = np.concatenate([cs.w.ravel() for cs in sets])
-    corr = np.vdot(h_hat, h) / np.sqrt(np.vdot(h_hat, h_hat).real
-                                       * np.vdot(h, h).real)
-    return {
-        "n_entries": h.size,
-        "mean_power_h": float(np.mean(np.abs(h) ** 2)),
-        "mean_power_h_hat": float(np.mean(np.abs(h_hat) ** 2)),
-        "mean_power_w": float(np.mean(np.abs(w) ** 2)),
-        "correlation": float(corr.real),
-    }
-
-
-def dump_grid(grid: np.ndarray) -> str:
-    """Serialize a (K, L, rows, cols) complex grid as text.
-
-    One line per entry: `k l i j re im`.  Intended for golden-file
-    comparison across implementations.
-    """
-    grid = np.asarray(grid)
-    if grid.ndim != 4:
-        raise ValueError("expected a 4-d (K, L, rows, cols) array")
-    lines = []
-    kk, ll, rows, cols = grid.shape
-    for k in range(kk):
-        for l in range(ll):
-            for i in range(rows):
-                for j in range(cols):
-                    v = grid[k, l, i, j]
-                    lines.append(f"{k} {l} {i} {j} {v.real:.17g} {v.imag:.17g}")
-    return "\n".join(lines) + "\n"
-
-
-def load_grid(text: str) -> np.ndarray:
-    """Parse the dump_grid format back into a complex array."""
-    entries = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        k, l, i, j, re, im = line.split()
-        entries.append((int(k), int(l), int(i), int(j), float(re), float(im)))
-    if not entries:
-        raise ValueError("no grid entries found")
-    kk = max(e[0] for e in entries) + 1
-    ll = max(e[1] for e in entries) + 1
-    rows = max(e[2] for e in entries) + 1
-    cols = max(e[3] for e in entries) + 1
-    grid = np.zeros((kk, ll, rows, cols), dtype=complex)
-    for k, l, i, j, re, im in entries:
-        grid[k, l, i, j] = re + 1j * im
-    return grid
-
-
-def dump_channel_set(cs: ChannelSet) -> str:
-    """Serialize a full ChannelSet (h_hat, w, h blocks with # headers)."""
-    parts = []
-    for name, grid in (("h_hat", cs.h_hat), ("w", cs.w), ("h", cs.h)):
-        parts.append(f"# {name}\n")
-        parts.append(dump_grid(grid))
-    return "".join(parts)

@@ -60,12 +60,12 @@ def check_mode_config(cfg: NetworkConfig, mode: str, loading: bool):
 
 def _transmit(gains: np.ndarray, bits_per_ch: np.ndarray,
               powers: np.ndarray, rng: np.random.Generator,
-              uses: int) -> tuple[np.ndarray, np.ndarray]:
+              uses: int) -> np.ndarray:
     """Send one frame over an effective n x n scalar-gain network.
 
     gains[i, j] couples transmit stream j into receive stream i.  Returns
-    (bits_sent, bit_errors) per stream.  Draw order: data bits per stream
-    in index order, then one noise block.
+    (n, 2) bits sent and bit errors per stream.  Draw order: data bits
+    per stream in index order, then one (n, uses) noise block.
     """
     n = gains.shape[0]
     x = np.zeros((n, uses), dtype=complex)
@@ -82,8 +82,7 @@ def _transmit(gains: np.ndarray, bits_per_ch: np.ndarray,
     amps = np.sqrt(powers)
     r = gains @ (amps[:, None] * x) + noise
 
-    sent = np.zeros(n, dtype=np.int64)
-    errors = np.zeros(n, dtype=np.int64)
+    counts = np.zeros((n, 2), dtype=np.int64)
     for i in range(n):
         b = int(bits_per_ch[i])
         if b == 0:
@@ -91,13 +90,17 @@ def _transmit(gains: np.ndarray, bits_per_ch: np.ndarray,
         g = gains[i, i]
         rx = demodulate(r[i], g if abs(g) > 0 else 0.0, float(amps[i]),
                         shape_for_bits(b))
-        sent[i] = uses * b
-        errors[i] = int(np.sum(rx != tx_bits[i]))
-    return sent, errors
+        counts[i] = uses * b, int(np.sum(rx != tx_bits[i]))
+    return counts
 
 
 def _sample_frames(cfg: NetworkConfig, frame_indices):
-    """Per-frame substreams and their channel draws, in draw order."""
+    """Per-frame substreams and their channel draws, in draw order.
+
+    Each frame's substream yields the estimate h_hat, then the error term
+    w, then (see _draw_inits) any precoder initialisations, then the
+    frame's data and noise (see _transmit).
+    """
     rngs = [substream(cfg.seed, int(i)) for i in frame_indices]
     f = len(rngs)
     shape = (cfg.k_pairs, cfg.k_pairs, cfg.nr, cfg.nt)
@@ -110,19 +113,37 @@ def _sample_frames(cfg: NetworkConfig, frame_indices):
     return rngs, h_hat, h
 
 
-def _draw_inits(cfg, rngs, want_minil: bool, want_maxsinr: bool):
-    f = len(rngs)
-    init_m = np.empty((f, cfg.k_pairs, cfg.nt), dtype=complex)
-    init_x = np.empty_like(init_m)
+def _draw_inits(cfg: NetworkConfig, rngs, n: int) -> np.ndarray:
+    """n unit-norm precoder initialisations per frame, (F, n, K, nt)."""
+    inits = np.empty((len(rngs), n, cfg.k_pairs, cfg.nt), dtype=complex)
     for i, rng in enumerate(rngs):
-        if want_minil:
-            init_m[i] = unit(complex_normal(rng, (cfg.k_pairs, cfg.nt)))
-        if want_maxsinr:
-            init_x[i] = unit(complex_normal(rng, (cfg.k_pairs, cfg.nt)))
-    return init_m, init_x
+        for j in range(n):
+            inits[i, j] = unit(complex_normal(rng, (cfg.k_pairs, cfg.nt)))
+    return inits
 
 
-def _ia_ber_table(gains_sq: np.ndarray, kp: float, r: int) -> np.ndarray:
+@dataclass
+class Design:
+    """One transceiver design for a batch of frames, stream by stream.
+
+    Stream s of frame f runs from transmitter pair[f, s] (precoder
+    tx[f, s]) to receiver pair[f, s] (combiner rx[f, s]) and carries
+    bits[f, s] bits at power powers[f, s].  The aligned designs send one
+    stream per pair; SVD-SM sends min(nt, nr) streams over the frame's
+    active pair.  `predicted` is the rate-weighted predicted BER of a
+    loaded design and None for an unloaded one.
+    """
+
+    mode: str
+    rx: np.ndarray          # (F, n, nr)
+    tx: np.ndarray          # (F, n, nt)
+    pair: np.ndarray        # (F, n)
+    bits: np.ndarray        # (F, n)
+    powers: np.ndarray      # (F, n)
+    predicted: np.ndarray | None = None
+
+
+def _ber_table(gains_sq: np.ndarray, kp: float, r: int) -> np.ndarray:
     """Per-channel BER lookup for greedy loading, (F, n, max_bits)."""
     maxb = min(r, bitload.MAX_BITS_PER_CHANNEL)
     f, n = gains_sq.shape
@@ -133,158 +154,105 @@ def _ia_ber_table(gains_sq: np.ndarray, kp: float, r: int) -> np.ndarray:
     return table
 
 
-def _predicted_from_bits(bits: np.ndarray, snr_of_bit, r: int) -> np.ndarray:
-    """(1/R) sum_i ber(shape(b_i), snr_of_bit(i, b_i)) * b_i, batched."""
-    f, n = bits.shape
-    pred = np.zeros(f)
-    for b in range(1, bitload.MAX_BITS_PER_CHANNEL + 1):
-        mask = bits == b
-        if not np.any(mask):
-            continue
-        snr = snr_of_bit(mask, b)
-        contrib = ber_awgn_instant(shape_for_bits(b), snr) * b
-        rows, _ = np.nonzero(mask)
-        np.add.at(pred, rows, contrib)
-    return pred / r
+def _load(gains_sq: np.ndarray, kp: float, r: int):
+    """Greedy bits over channels of power gain gains_sq (at power KP/R
+    per bit), and each frame's predicted BER (1/R) sum_i P_b(i) b_i."""
+    table = _ber_table(gains_sq, kp, r)
+    bits = greedy_bitload_table(table, r)
+    taken = np.take_along_axis(table, np.maximum(bits, 1)[..., None] - 1,
+                               axis=2)[..., 0]
+    return bits, (taken * bits).sum(axis=1) / r
 
 
-def _svd_of_direct(h_hat: np.ndarray, active: np.ndarray):
-    """Batched SVD of each frame's active direct channel estimate."""
-    f = h_hat.shape[0]
-    mats = h_hat[np.arange(f), active, active]
-    u, s, vh = np.linalg.svd(mats)
-    return u, s, vh
-
-
-@dataclass
-class _FrameDesign:
-    """Everything decided from transmitter-side knowledge for one batch."""
-
-    mode_per_frame: list
-    ia_u: np.ndarray | None
-    ia_v: np.ndarray | None
-    ia_bits: np.ndarray | None
-    ia_powers: np.ndarray | None
-    sm_u: np.ndarray | None
-    sm_vh: np.ndarray | None
-    sm_bits: np.ndarray | None
-    sm_powers: np.ndarray | None
-    predicted: np.ndarray | None
-    audit_bits: np.ndarray | None
-
-
-def _design_batch(cfg: NetworkConfig, mode: str, loading: bool,
-                  rngs, h_hat, active) -> _FrameDesign:
-    f = len(rngs)
-    k = cfg.k_pairs
+def _ia_design(cfg: NetworkConfig, mode: str, h_hat, init_v,
+               loading: bool) -> Design:
+    """MinIL or Max-SINR design, one stream per pair."""
+    f, k = h_hat.shape[:2]
     kp = k * cfg.power_p
     r = cfg.total_rate
-    adaptive = mode == MODE_ADAPTIVE
-    want_minil = mode == MODE_MINIL or adaptive
-    want_maxsinr = mode == MODE_MAXSINR or adaptive
-    want_svd = mode == MODE_SVD or adaptive
-    init_m, init_x = _draw_inits(cfg, rngs, want_minil, want_maxsinr)
-
-    ia_u = ia_v = ia_bits = ia_powers = None
-    sm_u = sm_vh = sm_bits = sm_powers = None
-    predicted = audit_bits = None
-
-    sol_m = sol_x = None
-    pred_m = pred_x = pred_s = None
-    bits_m = bits_x = bits_s = None
-
-    if want_minil:
-        sol_m = minil_solve_batch(h_hat, cfg.power_p, cfg.iterations, init_m)
-        if loading or adaptive:
-            table = _ia_ber_table(np.abs(sol_m.z) ** 2, kp, r)
-            bits_m = greedy_bitload_table(table, r)
-            taken = np.take_along_axis(table, np.maximum(bits_m, 1)[..., None] - 1,
-                                       axis=2)[..., 0]
-            pred_m = (taken * bits_m).sum(axis=1) / r
-
-    if want_maxsinr:
-        sol_x = maxsinr_solve_batch(h_hat, cfg.power_p, cfg.iterations, init_x)
-        if loading or adaptive:
-            table = _ia_ber_table(sol_x.sinr / cfg.power_p, kp, r)
-            bits_x = greedy_bitload_table(table, r)
-            # One re-design pass under the loaded powers, warm-started.
-            powers_x = kp / r * bits_x
-            sol_x = maxsinr_solve_batch(h_hat, powers_x, cfg.iterations,
-                                        sol_x.v)
-            pred_x = _predicted_from_bits(
-                bits_x, lambda m, b: sol_x.sinr[m], r)
-
-    if want_svd:
-        sm_u, sm_s, sm_vh = _svd_of_direct(h_hat, active)
-        if loading or adaptive:
-            table = _ia_ber_table(sm_s[:, : cfg.n_min] ** 2, kp, r)
-            bits_s = greedy_bitload_table(table, r)
-            taken = np.take_along_axis(table, np.maximum(bits_s, 1)[..., None] - 1,
-                                       axis=2)[..., 0]
-            pred_s = (taken * bits_s).sum(axis=1) / r
-
-    if adaptive:
-        # Tie order: Max-SINR, then SVD-SM, then MinIL (argmin keeps first).
-        stack = np.stack([pred_x, pred_s, pred_m])
-        choice = np.argmin(stack, axis=0)
-        mode_per_frame = [(MODE_MAXSINR, MODE_SVD, MODE_MINIL)[c]
-                          for c in choice]
-        predicted = stack[choice, np.arange(f)]
+    solve = minil_solve_batch if mode == MODE_MINIL else maxsinr_solve_batch
+    sol = solve(h_hat, cfg.power_p, cfg.iterations, init_v)
+    pair = np.broadcast_to(np.arange(k), (f, k))
+    if not loading:
+        return Design(mode, sol.u, sol.v, pair,
+                      np.full((f, k), cfg.rate_per_pair),
+                      np.full((f, k), float(cfg.power_p)))
+    if mode == MODE_MINIL:
+        # Alignment is power-scale invariant, so MinIL keeps its design.
+        bits, predicted = _load(np.abs(sol.z) ** 2, kp, r)
     else:
-        mode_per_frame = [mode] * f
+        bits, _ = _load(sol.sinr / cfg.power_p, kp, r)
+        # One re-design pass under the loaded powers, warm-started; the
+        # prediction then uses the final SINRs.
+        sol = maxsinr_solve_batch(h_hat, kp / r * bits, cfg.iterations,
+                                  sol.v)
+        predicted = np.zeros(f)
+        for b in range(1, bitload.MAX_BITS_PER_CHANNEL + 1):
+            mask = bits == b
+            if np.any(mask):
+                np.add.at(predicted, np.nonzero(mask)[0],
+                          ber_awgn_instant(shape_for_bits(b), sol.sinr[mask])
+                          * b)
+        predicted /= r
+    return Design(mode, sol.u, sol.v, pair, bits, kp / r * bits, predicted)
 
-    # Assemble per-frame IA design (MinIL or Max-SINR frames).
-    if sol_m is not None or sol_x is not None:
-        nr, nt = cfg.nr, cfg.nt
-        ia_u = np.zeros((f, k, nr), dtype=complex)
-        ia_v = np.zeros((f, k, nt), dtype=complex)
-        ia_bits = np.zeros((f, k), dtype=int)
-        ia_powers = np.zeros((f, k))
-        for i, m in enumerate(mode_per_frame):
-            if m == MODE_MINIL:
-                sol, bits = sol_m, bits_m
-            elif m == MODE_MAXSINR:
-                sol, bits = sol_x, bits_x
-            else:
-                continue
-            ia_u[i] = sol.u[i]
-            ia_v[i] = sol.v[i]
-            if loading or adaptive:
-                ia_bits[i] = bits[i]
-                ia_powers[i] = kp / r * bits[i]
-            else:
-                ia_bits[i] = cfg.rate_per_pair
-                ia_powers[i] = cfg.power_p
 
-    if sm_u is not None:
-        n_min = cfg.n_min
-        sm_bits = np.zeros((f, n_min), dtype=int)
-        sm_powers = np.zeros((f, n_min))
-        for i, m in enumerate(mode_per_frame):
-            if m != MODE_SVD:
-                continue
-            if loading or adaptive:
-                sm_bits[i] = bits_s[i]
-                sm_powers[i] = kp / r * bits_s[i]
-            else:
-                sm_bits[i] = r // n_min
-                sm_powers[i] = kp / n_min
+def _svd_design(cfg: NetworkConfig, h_hat, active, loading: bool) -> Design:
+    """SVD-SM over the eigenmodes of each frame's active direct channel
+    estimate, at network power KP."""
+    f = len(active)
+    n = cfg.n_min
+    kp = cfg.k_pairs * cfg.power_p
+    r = cfg.total_rate
+    u, s, vh = np.linalg.svd(h_hat[np.arange(f), active, active])
+    rx = u[..., :n].swapaxes(1, 2)
+    tx = vh[:, :n].conj()
+    pair = np.repeat(active[:, None], n, axis=1)
+    if not loading:
+        return Design(MODE_SVD, rx, tx, pair, np.full((f, n), r // n),
+                      np.full((f, n), kp / n))
+    bits, predicted = _load(s[:, :n] ** 2, kp, r)
+    return Design(MODE_SVD, rx, tx, pair, bits, kp / r * bits, predicted)
 
-    if loading or adaptive:
-        audit = np.zeros((f, max(k, cfg.n_min)), dtype=int)
-        for i, m in enumerate(mode_per_frame):
-            row = {MODE_MINIL: bits_m, MODE_MAXSINR: bits_x,
-                   MODE_SVD: bits_s}[m][i]
-            audit[i, : len(row)] = row
-        audit_bits = audit
-        if predicted is None:
-            predicted = {MODE_MINIL: pred_m, MODE_MAXSINR: pred_x,
-                         MODE_SVD: pred_s}[mode]
 
-    return _FrameDesign(mode_per_frame=mode_per_frame, ia_u=ia_u, ia_v=ia_v,
-                        ia_bits=ia_bits, ia_powers=ia_powers, sm_u=sm_u,
-                        sm_vh=sm_vh, sm_bits=sm_bits, sm_powers=sm_powers,
-                        predicted=predicted, audit_bits=audit_bits)
+def _design(cfg: NetworkConfig, mode: str, loading: bool, rngs, h_hat,
+            active) -> tuple[list, np.ndarray]:
+    """Designs from transmitter-side knowledge, and each frame's pick.
+
+    A fixed mode returns its one design and picks it for every frame.
+    Adaptive returns the loaded Max-SINR, SVD-SM and MinIL designs and
+    picks, per frame, the one with the lowest predicted BER; argmin keeps
+    the first of equal values, so ties go in that order.  Adaptive draws
+    MinIL's precoder initialisation before Max-SINR's.
+    """
+    adaptive = mode == MODE_ADAPTIVE
+    modes = (MODE_MAXSINR, MODE_SVD, MODE_MINIL) if adaptive else (mode,)
+    loading = loading or adaptive
+    inits = _draw_inits(cfg, rngs,
+                        (MODE_MINIL in modes) + (MODE_MAXSINR in modes))
+    designs = []
+    for m in modes:
+        if m == MODE_SVD:
+            designs.append(_svd_design(cfg, h_hat, active, loading))
+        else:
+            init_v = inits[:, 0] if m == MODE_MINIL else inits[:, -1]
+            designs.append(_ia_design(cfg, m, h_hat, init_v, loading))
+    if adaptive:
+        pick = np.argmin(np.stack([d.predicted for d in designs]), axis=0)
+    else:
+        pick = np.zeros(len(rngs), dtype=int)
+    return designs, pick
+
+
+def _stream_gains(h: np.ndarray, design: Design, rows) -> np.ndarray:
+    """Effective gains of the given frames' streams on the true channels.
+
+    gains[f, i, j] = rx_i^H H[pair_i, pair_j] tx_j couples stream j into
+    stream i of frame rows[f].
+    """
+    pair = design.pair[rows]
+    h = h[rows[:, None, None], pair[:, :, None], pair[:, None, :]]
+    return cross_gains(h, design.rx[rows], design.tx[rows])
 
 
 def run_frames(cfg: NetworkConfig, mode: str, frame_indices,
@@ -294,77 +262,35 @@ def run_frames(cfg: NetworkConfig, mode: str, frame_indices,
 
     The active pair of the single-pair benchmark rotates with the frame
     index.  Counts are identical however frames are split across calls.
+    With `audit`, one row per frame records its mode, bits per stream and
+    predicted BER (NaN unloaded).
     """
     check_mode_config(cfg, mode, loading)
     frame_indices = [int(i) for i in frame_indices]
     if not frame_indices:
         return np.zeros((0, cfg.k_pairs, 2), dtype=np.int64)
     rngs, h_hat, h = _sample_frames(cfg, frame_indices)
-    active = np.array([i % cfg.k_pairs for i in frame_indices])
-    design = _design_batch(cfg, mode, loading, rngs, h_hat, active)
+    active = np.array(frame_indices) % cfg.k_pairs
+    designs, pick = _design(cfg, mode, loading, rngs, h_hat, active)
 
-    f = len(frame_indices)
-    out = np.zeros((f, cfg.k_pairs, 2), dtype=np.int64)
-    for i in range(f):
-        m = design.mode_per_frame[i]
-        rng = rngs[i]
-        if m in (MODE_MINIL, MODE_MAXSINR):
-            gains = cross_gains(h[i], design.ia_u[i], design.ia_v[i])
-            sent, errors = _transmit(gains, design.ia_bits[i],
-                                     design.ia_powers[i], rng, uses)
-            out[i, :, 0] = sent
-            out[i, :, 1] = errors
-        else:
-            a = active[i]
-            n_min = cfg.n_min
-            geff = (design.sm_u[i].conj().T @ h[i, a, a]
-                    @ design.sm_vh[i].conj().T)[:n_min, :n_min]
-            sent, errors = _transmit(geff, design.sm_bits[i],
-                                     design.sm_powers[i], rng, uses)
-            out[i, a, 0] = sent.sum()
-            out[i, a, 1] = errors.sum()
-        if audit is not None:
-            pred = (design.predicted[i] if design.predicted is not None
-                    else float("nan"))
-            bits_row = (design.audit_bits[i] if design.audit_bits is not None
-                        else (design.ia_bits[i] if m != MODE_SVD
-                              else design.sm_bits[i]))
-            audit.append({"frame": frame_indices[i], "mode": m,
-                          "bits": list(map(int, bits_row)),
-                          "predicted_ber": float(pred)})
-    return out
-
-
-def run_frame(cfg: NetworkConfig, mode: str, frame_rng: np.random.Generator,
-              loading: bool = False, uses: int = FRAME_USES,
-              active_pair: int = 0) -> np.ndarray:
-    """Simulate one frame from an explicit stream; returns (K, 2) counts."""
-    check_mode_config(cfg, mode, loading)
-    state = frame_rng
-    # Reuse the batch machinery with a single-frame "substream".
-    k = cfg.k_pairs
-    shape = (k, k, cfg.nr, cfg.nt)
-    h_hat = complex_normal(state, shape)[None]
-    w = complex_normal(state, shape)[None]
-    h = np.sqrt(1.0 - cfg.epsilon) * h_hat + np.sqrt(cfg.epsilon) * w
-    design = _design_batch(cfg, mode, loading, [state], h_hat,
-                           np.array([active_pair]))
-    m = design.mode_per_frame[0]
-    out = np.zeros((k, 2), dtype=np.int64)
-    if m in (MODE_MINIL, MODE_MAXSINR):
-        gains = cross_gains(h[0], design.ia_u[0], design.ia_v[0])
-        sent, errors = _transmit(gains, design.ia_bits[0],
-                                 design.ia_powers[0], state, uses)
-        out[:, 0] = sent
-        out[:, 1] = errors
-    else:
-        n_min = cfg.n_min
-        geff = (design.sm_u[0].conj().T @ h[0, active_pair, active_pair]
-                @ design.sm_vh[0].conj().T)[:n_min, :n_min]
-        sent, errors = _transmit(geff, design.sm_bits[0],
-                                 design.sm_powers[0], state, uses)
-        out[active_pair, 0] = sent.sum()
-        out[active_pair, 1] = errors.sum()
+    out = np.zeros((len(rngs), cfg.k_pairs, 2), dtype=np.int64)
+    for j, design in enumerate(designs):
+        rows = np.flatnonzero(pick == j)
+        if not rows.size:
+            continue
+        gains = _stream_gains(h, design, rows)
+        counts = np.array([
+            _transmit(g, design.bits[i], design.powers[i], rngs[i], uses)
+            for g, i in zip(gains, rows)])
+        np.add.at(out, (rows[:, None], design.pair[rows]), counts)
+    if audit is not None:
+        for i, j in enumerate(pick):
+            design = designs[j]
+            pred = (float("nan") if design.predicted is None
+                    else float(design.predicted[i]))
+            audit.append({"frame": frame_indices[i], "mode": design.mode,
+                          "bits": [int(b) for b in design.bits[i]],
+                          "predicted_ber": pred})
     return out
 
 
@@ -424,7 +350,7 @@ def fig1_stats(cfg: NetworkConfig, p_grid, frames: int = 10_000) -> list:
     singular-value sampling of the same frames' direct channels.
     """
     rngs, h_hat, h = _sample_frames(cfg, range(frames))
-    _, init_x = _draw_inits(cfg, rngs, False, True)
+    init_x = _draw_inits(cfg, rngs, 1)[:, 0]
     k = cfg.k_pairs
     direct = h_hat[:, np.arange(k), np.arange(k)]
     smax = np.linalg.svd(direct.reshape(-1, cfg.nr, cfg.nt),

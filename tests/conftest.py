@@ -1,22 +1,18 @@
+from collections import namedtuple
+
 import numpy as np
 import pytest
 
-from iasim.linalg import unit
-from iasim.network import NetworkConfig, complex_normal, sample_channel_batch, substream
+from iasim.network import NetworkConfig
+from iasim.simulate import _draw_inits, _sample_frames
+
+Channels = namedtuple("Channels", "h_hat h")
 
 
 def draw_inits(cfg: NetworkConfig, frame_indices, n_draws: int = 1):
     """Channels plus per-frame precoder initializations, in substream order."""
-    cs = sample_channel_batch(cfg, frame_indices)
-    inits = np.empty((len(list(frame_indices)), n_draws, cfg.k_pairs, cfg.nt),
-                     dtype=complex)
-    for f, idx in enumerate(frame_indices):
-        rng = substream(cfg.seed, int(idx))
-        complex_normal(rng, (cfg.k_pairs, cfg.k_pairs, cfg.nr, cfg.nt))
-        complex_normal(rng, (cfg.k_pairs, cfg.k_pairs, cfg.nr, cfg.nt))
-        for d in range(n_draws):
-            inits[f, d] = unit(complex_normal(rng, (cfg.k_pairs, cfg.nt)))
-    return cs, inits
+    rngs, h_hat, h = _sample_frames(cfg, frame_indices)
+    return Channels(h_hat, h), _draw_inits(cfg, rngs, n_draws)
 
 
 @pytest.fixture

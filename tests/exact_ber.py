@@ -15,7 +15,7 @@ these in closed form: interference enters as the discrete symbols it is,
 never as Gaussian noise.
 
 `loaded_links` turns engine frames into these plain arrays for one loaded
-design, so the oracle itself knows nothing of the engine's design types.
+design, so the oracle itself knows nothing of the engine's design type.
 """
 
 import itertools
@@ -25,8 +25,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from iasim.modem import modulate, shape_for_bits
-from iasim.simulate import _design_batch, _sample_frames
-from iasim.solvers import cross_gains
+from iasim.simulate import _design, _sample_frames, _stream_gains
 
 
 @lru_cache(maxsize=None)
@@ -115,13 +114,7 @@ def loaded_links(cfg, mode: str, frame_indices):
     """
     frame_indices = [int(i) for i in frame_indices]
     rngs, h_hat, h = _sample_frames(cfg, frame_indices)
-    active = np.array([i % cfg.k_pairs for i in frame_indices])
-    design = _design_batch(cfg, mode, True, rngs, h_hat, active)
-    if mode == "svd":
-        f = np.arange(len(frame_indices))
-        n = cfg.n_min
-        geff = (design.sm_u.conj().swapaxes(-1, -2) @ h[f, active, active]
-                @ design.sm_vh.conj().swapaxes(-1, -2))[:, :n, :n]
-        return geff, design.sm_bits, design.sm_powers
-    return (cross_gains(h, design.ia_u, design.ia_v), design.ia_bits,
-            design.ia_powers)
+    active = np.array(frame_indices) % cfg.k_pairs
+    (design,), _ = _design(cfg, mode, True, rngs, h_hat, active)
+    gains = _stream_gains(h, design, np.arange(len(frame_indices)))
+    return gains, design.bits, design.powers

@@ -3,14 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import draw_inits
-from iasim.bitload import (BitAllocation, MODE_MAXSINR, MODE_MINIL, MODE_SVD,
-                           greedy_bitload, greedy_bitload_table, load_maxsinr,
-                           load_minil, load_svd, select_mode)
+from iasim import simulate
+from iasim.bitload import greedy_bitload, greedy_bitload_table
+from iasim.linalg import unit
 from iasim.modem import ber_awgn_instant, shape_for_bits
-from iasim.network import NetworkConfig, complex_normal, substream
-from iasim.solvers import minil_solve
-from iasim.svdsm import svd_decompose
+from iasim.network import NetworkConfig, complex_normal
+from iasim.simulate import (Design, _design, _load, _sample_frames,
+                            _stream_gains)
 
 
 def weighted_ber(bits, ber_of, r):
@@ -114,6 +113,33 @@ class TestGreedy:
             assert np.array_equal(got, want)
 
 
+def engine_design(cfg, mode, frame=0, edit=None):
+    """The engine's loaded design(s) and pick for one frame.
+
+    Channels and precoder initialisations come from the frame's own
+    substream; `edit(h_hat)` may change the channel estimate in place
+    before the design sees it.
+    """
+    rngs, h_hat, _ = _sample_frames(cfg, [frame])
+    if edit is not None:
+        edit(h_hat[0])
+    designs, pick = _design(cfg, mode, True, rngs, h_hat,
+                            np.array([frame % cfg.k_pairs]))
+    return designs, pick, h_hat
+
+
+def svd_bits(cfg, direct):
+    """Engine-loaded SVD-SM bits for an active direct estimate `direct`."""
+    def edit(h_hat):
+        h_hat[0, 0] = direct
+    (design,), _, _ = engine_design(cfg, "svd", edit=edit)
+    return design.bits[0]
+
+
+def design_gains(design, h_hat):
+    return _stream_gains(h_hat, design, np.arange(len(h_hat)))
+
+
 class TestLoadIa:
     @pytest.fixture
     def cfg(self):
@@ -121,95 +147,135 @@ class TestLoadIa:
                              rate_per_pair=2, seed=5)
 
     def test_load_minil_budget_and_power(self, cfg):
-        cs, inits = draw_inits(cfg, [0])
-        sol = minil_solve(cs.h[0], cfg.power_p, 100, substream(5, 0),
-                          init_v=inits[0, 0])
-        alloc = load_minil(sol, cfg)
-        assert alloc.bits.sum() == cfg.total_rate
-        assert alloc.channel_power.sum() == pytest.approx(
+        (design,), _, h_hat = engine_design(cfg, "minil")
+        bits = design.bits[0]
+        assert bits.sum() == cfg.total_rate
+        assert design.powers[0].sum() == pytest.approx(
             cfg.k_pairs * cfg.power_p)
         # predicted equals the weighted-average definition
-        gains = np.abs(sol.z) ** 2
-        ber_of = snr_oracle(gains, cfg.k_pairs * cfg.power_p, cfg.total_rate)
-        assert alloc.predicted_ber == pytest.approx(
-            weighted_ber(alloc.bits, ber_of, cfg.total_rate))
+        z = np.diagonal(design_gains(design, h_hat)[0])
+        ber_of = snr_oracle(np.abs(z) ** 2, cfg.k_pairs * cfg.power_p,
+                            cfg.total_rate)
+        assert design.predicted[0] == pytest.approx(
+            weighted_ber(bits, ber_of, cfg.total_rate))
 
     def test_load_minil_equal_gains_uniform(self, cfg):
-        sol_like = minil_solve(
-            complex_normal(substream(6, 0), (3, 3, 2, 2)), cfg.power_p, 50,
-            substream(6, 1))
-        sol_like.z = np.array([1.0 + 0j, 1.0 + 0j, 1.0 + 0j])
-        alloc = load_minil(sol_like, cfg)
-        assert list(alloc.bits) == [2, 2, 2]
+        bits, _ = _load(np.ones((1, 3)), cfg.k_pairs * cfg.power_p,
+                        cfg.total_rate)
+        assert list(bits[0]) == [2, 2, 2]
 
     def test_load_svd_rank_one_beamforms(self, cfg, rng):
         u = complex_normal(rng, 2)[:, None]
         v = complex_normal(rng, 2)[None, :]
-        alloc = load_svd(svd_decompose(u @ v), cfg)
-        assert alloc.bits[1] == 0
-        assert alloc.bits[0] == cfg.total_rate
+        bits = svd_bits(cfg, u @ v)
+        assert bits[1] == 0
+        assert bits[0] == cfg.total_rate
 
     def test_load_svd_dominant_eigenmode_low_rate(self, rng):
         cfg = NetworkConfig(k_pairs=3, nt=2, nr=2, power_p=0.5,
                             rate_per_pair=1, seed=5)
-        sol = svd_decompose(np.diag([2.0, 0.2]).astype(complex))
-        alloc = load_svd(sol, cfg)
-        assert list(alloc.bits) == [3, 0]  # all bits on the strong eigenmode
+        bits = svd_bits(cfg, np.diag([2.0, 0.2]))
+        assert list(bits) == [3, 0]  # all bits on the strong eigenmode
 
     def test_load_svd_symmetric_split(self, cfg):
-        alloc = load_svd(svd_decompose(np.eye(2, dtype=complex)), cfg)
-        assert list(alloc.bits) == [3, 3]
+        assert list(svd_bits(cfg, np.eye(2))) == [3, 3]
 
     def test_load_maxsinr_redesign(self, cfg):
-        cs, inits = draw_inits(cfg, [3])
-        alloc, sol = load_maxsinr(cs.h[0], cfg, substream(5, 3),
-                                  init_v=inits[0, 0])
-        assert alloc.bits.sum() == cfg.total_rate
-        # re-designed solution carries the loaded powers
-        assert np.allclose(sol.per_channel_power,
-                           cfg.k_pairs * cfg.power_p / cfg.total_rate
-                           * alloc.bits)
+        (design,), _, h_hat = engine_design(cfg, "maxsinr", frame=3)
+        bits, p = design.bits[0], design.powers[0]
+        assert bits.sum() == cfg.total_rate
+        # the re-designed solution carries the loaded powers: each combiner
+        # is the SINR maximizer for them, and the prediction uses the
+        # SINRs they give
+        kp = cfg.k_pairs * cfg.power_p
+        assert np.allclose(p, kp / cfg.total_rate * bits)
+        h, u, v = h_hat[0], design.rx[0], design.tx[0]
+        g = design_gains(design, h_hat)[0]
+        sinr = np.empty(3)
+        for k in range(3):
+            b = np.eye(2, dtype=complex)
+            for l in range(3):
+                if l != k:
+                    t = h[k, l] @ v[l]
+                    b += p[l] * np.outer(t, t.conj())
+            want = unit(np.linalg.solve(b, h[k, k] @ v[k]))
+            assert abs(np.vdot(want, u[k])) == pytest.approx(1.0, abs=1e-9)
+            interference = sum(p[l] * abs(g[k, l]) ** 2
+                               for l in range(3) if l != k)
+            sinr[k] = p[k] * abs(g[k, k]) ** 2 / (1.0 + interference)
+        want = sum(ber_awgn_instant(shape_for_bits(int(b)), s) * b
+                   for b, s in zip(bits, sinr) if b) / cfg.total_rate
+        assert design.predicted[0] == pytest.approx(want, rel=1e-9)
 
     def test_load_maxsinr_k1_all_bits_single_channel(self):
         cfg = NetworkConfig(k_pairs=1, nt=2, nr=2, power_p=10.0,
                             rate_per_pair=2, seed=9)
-        h = complex_normal(substream(9, 0), (1, 1, 2, 2))
-        alloc, _ = load_maxsinr(h, cfg, substream(9, 1))
-        assert list(alloc.bits) == [2]
+        (design,), _, _ = engine_design(cfg, "maxsinr")
+        assert list(design.bits[0]) == [2]
 
     def test_load_maxsinr_strong_pair_gets_more(self, cfg):
         # scale one pair's direct channel so its SINR towers over the rest
-        cs, inits = draw_inits(cfg, [4])
-        h = cs.h[0].copy()
-        h[1, 1] *= 30.0
-        alloc, _ = load_maxsinr(h, cfg, substream(5, 4), init_v=inits[0, 0])
-        assert alloc.bits[1] > max(alloc.bits[0], alloc.bits[2])
+        def edit(h_hat):
+            h_hat[1, 1] *= 30.0
+        (design,), _, _ = engine_design(cfg, "maxsinr", frame=4, edit=edit)
+        bits = design.bits[0]
+        assert bits[1] > max(bits[0], bits[2])
 
 
 class TestSelectMode:
-    def mk(self, ber):
-        return BitAllocation(bits=np.array([2, 2, 2]),
-                             channel_power=np.array([10.0, 10.0, 10.0]),
-                             predicted_ber=ber)
+    @pytest.fixture
+    def cfg(self):
+        return NetworkConfig(k_pairs=3, nt=2, nr=2, power_p=10.0,
+                             rate_per_pair=2, seed=5)
 
-    def test_lowest_wins(self):
-        d = select_mode(self.mk(0.0), self.mk(0.1), self.mk(0.2))
-        assert d.mode == MODE_MINIL and d.predicted_ber == 0.0
-        d = select_mode(self.mk(0.3), self.mk(0.1), self.mk(0.2))
-        assert d.mode == MODE_MAXSINR
-        d = select_mode(self.mk(0.3), self.mk(0.25), self.mk(0.2))
-        assert d.mode == MODE_SVD
+    def pick(self, cfg, monkeypatch, minil, maxsinr, svd):
+        """The engine's adaptive pick when the loaded designs predict the
+        given BERs."""
+        preds = {"minil": minil, "maxsinr": maxsinr, "svd": svd}
 
-    def test_three_way_tie_prefers_maxsinr(self):
-        d = select_mode(self.mk(0.05), self.mk(0.05), self.mk(0.05))
-        assert d.mode == MODE_MAXSINR
+        def fake(mode):
+            return Design(mode, None, None, None, np.array([[2, 2, 2]]),
+                          np.array([[10.0, 10.0, 10.0]]),
+                          np.array([preds[mode]]))
 
-    def test_two_way_tie_prefers_svd_over_minil(self):
-        d = select_mode(self.mk(0.05), self.mk(0.09), self.mk(0.05))
-        assert d.mode == MODE_SVD
+        monkeypatch.setattr(simulate, "_ia_design",
+                            lambda cfg, mode, *args: fake(mode))
+        monkeypatch.setattr(simulate, "_svd_design",
+                            lambda *args: fake("svd"))
+        rngs, h_hat, _ = _sample_frames(cfg, [0])
+        designs, pick = _design(cfg, "adaptive", True, rngs, h_hat,
+                                np.zeros(1, dtype=int))
+        return designs[pick[0]]
 
-    def test_decision_carries_allocation(self):
-        alloc = self.mk(0.01)
-        d = select_mode(self.mk(0.5), alloc, self.mk(0.5))
-        assert d.allocation is alloc
-        assert d.predicted_ber == alloc.predicted_ber
+    def test_lowest_wins(self, cfg, monkeypatch):
+        d = self.pick(cfg, monkeypatch, 0.0, 0.1, 0.2)
+        assert d.mode == "minil" and d.predicted[0] == 0.0
+        assert self.pick(cfg, monkeypatch, 0.3, 0.1, 0.2).mode == "maxsinr"
+        assert self.pick(cfg, monkeypatch, 0.3, 0.25, 0.2).mode == "svd"
+
+    def test_three_way_tie_prefers_maxsinr(self, cfg, monkeypatch):
+        d = self.pick(cfg, monkeypatch, 0.05, 0.05, 0.05)
+        assert d.mode == "maxsinr"
+
+    def test_two_way_tie_prefers_svd_over_minil(self, cfg, monkeypatch):
+        d = self.pick(cfg, monkeypatch, 0.05, 0.09, 0.05)
+        assert d.mode == "svd"
+
+    def test_decision_carries_allocation(self, cfg):
+        # On live designs each frame picks its lowest prediction, and the
+        # frame is sent with the picked design's bits.
+        frames = range(40)
+        rngs, h_hat, _ = _sample_frames(cfg, frames)
+        active = np.array(frames) % 3
+        designs, pick = _design(cfg, "adaptive", True, rngs, h_hat, active)
+        preds = np.stack([d.predicted for d in designs])
+        assert np.array_equal(preds[pick, np.arange(40)], preds.min(axis=0))
+        assert len(set(pick)) > 1
+        audit = []
+        simulate.run_frames(cfg, "adaptive", frames, loading=True,
+                            audit=audit)
+        for i, row in enumerate(audit):
+            d = designs[pick[i]]
+            assert row["mode"] == d.mode
+            assert row["bits"] == list(d.bits[i])
+            assert row["predicted_ber"] == d.predicted[i]

@@ -65,6 +65,21 @@ class TestParseConfig:
         parse_config(p)
         assert "not proper" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line,key", [
+        ("k = 3.7", "k"), ("nt = two", "nt"), ("seed = 1.5", "seed"),
+        ("max_bits = inf", "max_bits"), ("loading = 2", "loading"),
+        ("loading = 0,0.5", "loading"),
+    ])
+    def test_non_integer_values_rejected(self, tmp_path, line, key):
+        with pytest.raises(ValueError, match=rf"\b{key} must be"):
+            parse_config(write(tmp_path, line + "\n"))
+
+    def test_integer_spellings_accepted(self, tmp_path):
+        exp = parse_config(write(tmp_path, "k = 3.0\nmax_bits = 1e6\n"
+                                           "loading = 0,1\n"))
+        assert exp.cfg.k_pairs == 3 and exp.max_bits == 1_000_000
+        assert exp.loading == [False, True]
+
     def test_grid_syntax(self):
         assert _parse_values("1,2,3") == [1.0, 2.0, 3.0]
         assert _parse_values("0:10:5") == [0.0, 5.0, 10.0]

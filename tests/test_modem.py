@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from iasim.modem import (BerEstimate, ConstellationShape, ber_awgn_instant,
-                         demodulate, maxsinr_predicted_ber, minil_avg_ber,
+                         demodulate, minil_avg_ber,
                          modulate, qfunc, shape_for_bits, svd_avg_ber,
                          _eigensum_coeffs, _q_gamma_moment)
 from iasim.network import complex_normal
@@ -162,18 +162,6 @@ class TestMinilAvgBer:
         vals = [minil_avg_ber(sh, p, 0.1, 3) for p in ps]
         assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
         assert all(0 < v <= 0.5 for v in vals)
-
-
-class TestMaxsinrPredictedBer:
-    def test_is_instant_formula(self):
-        sh = shape_for_bits(4)
-        assert maxsinr_predicted_ber(sh, 0.0) == pytest.approx(0.5)
-        for g in (1.0, 7.0, 30.0):
-            assert maxsinr_predicted_ber(sh, g) == ber_awgn_instant(sh, g)
-
-    def test_qpsk_reduction(self):
-        assert maxsinr_predicted_ber(ConstellationShape(2, 2), 9.0) == \
-            pytest.approx(float(qfunc(3.0)), rel=1e-12)
 
 
 class TestSvdAvgBer:

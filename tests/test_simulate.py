@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from iasim.modem import minil_avg_ber, shape_for_bits
-from iasim.network import NetworkConfig, substream
-from iasim.simulate import (analytic_ber, check_mode_config, estimate_ber,
-                            fig1_stats, run_frame, run_frames, sweep)
+from iasim.network import NetworkConfig
+from iasim.simulate import (_design, _sample_frames, analytic_ber,
+                            check_mode_config, estimate_ber, fig1_stats,
+                            run_frames, sweep)
 
 
 @pytest.fixture
@@ -22,9 +23,8 @@ class TestReproducibility:
     def test_batch_equals_per_frame(self, cfg, mode, loading):
         batch = run_frames(cfg, mode, range(8), loading=loading)
         for i in range(8):
-            single = run_frame(cfg, mode, substream(cfg.seed, i),
-                               loading=loading, active_pair=i % cfg.k_pairs)
-            assert np.array_equal(batch[i], single)
+            single = run_frames(cfg, mode, range(i, i + 1), loading=loading)
+            assert np.array_equal(batch[i], single[0])
 
     def test_partition_invariance(self, cfg):
         joint = run_frames(cfg, "maxsinr", range(30))
@@ -63,18 +63,14 @@ class TestAccounting:
         # loaded channel powers sum to KP exactly; unloaded modes transmit
         # K streams at power P (or one pair at KP), so the average energy
         # per channel use stays at KP within sampling noise.
-        from iasim.simulate import _sample_frames, _design_batch
         for mode, loading in (("minil", True), ("maxsinr", True),
                               ("svd", True), ("adaptive", True)):
             rngs, h_hat, h = _sample_frames(cfg, range(12))
             active = np.array([i % 3 for i in range(12)])
-            design = _design_batch(cfg, mode, loading, rngs, h_hat, active)
+            designs, pick = _design(cfg, mode, loading, rngs, h_hat, active)
             kp = cfg.k_pairs * cfg.power_p
-            for i, m in enumerate(design.mode_per_frame):
-                if m == "svd":
-                    assert design.sm_powers[i].sum() == pytest.approx(kp)
-                else:
-                    assert design.ia_powers[i].sum() == pytest.approx(kp)
+            for i, j in enumerate(pick):
+                assert designs[j].powers[i].sum() == pytest.approx(kp)
 
     def test_audit_rows(self, cfg):
         audit = []
@@ -129,6 +125,11 @@ class TestEstimateBer:
                            max_bits=10_000_000, chunk_frames=50)
         assert est.bit_errors >= 100
         assert est.bits_sent <= 50 * cfg.total_rate * 100 * 2
+
+    @pytest.mark.parametrize("snr_db", [np.nan, np.inf, -np.inf])
+    def test_non_finite_snr_rejected(self, cfg, snr_db):
+        with pytest.raises(ValueError, match="power_p"):
+            estimate_ber(cfg, "minil", snr_db, max_bits=1)
 
     def test_zero_errors_one_sided(self):
         cfg = NetworkConfig(k_pairs=3, nt=2, nr=2, power_p=1e8,

@@ -1,62 +1,71 @@
+"""The engine's SVD-SM design over the active pair's eigenmodes."""
+
 import numpy as np
 import pytest
 
-from iasim.network import complex_normal
-from iasim.svdsm import sm_equivalent_channels, svd_decompose
+from iasim.network import NetworkConfig, complex_normal, substream
+from iasim.simulate import _design, _stream_gains
+
+
+def sm_design(direct):
+    """Unloaded SVD-SM design of one frame whose active direct channel
+    estimate is `direct`, and its stream gains over that channel."""
+    direct = np.asarray(direct, dtype=complex)
+    nr, nt = direct.shape
+    cfg = NetworkConfig(k_pairs=1, nt=nt, nr=nr, rate_per_pair=min(nt, nr))
+    h = direct[None, None, None]
+    (design,), _ = _design(cfg, "svd", False, [substream(0, 0)], h,
+                           np.zeros(1, dtype=int))
+    return design, _stream_gains(h, design, np.arange(1))[0]
+
+
+def sm_equivalent_channels(direct):
+    """Amplitude gains of the parallel scalar links, one per eigenmode."""
+    return np.abs(np.diagonal(sm_design(direct)[1]))
 
 
 def test_identity_channel():
-    sol = svd_decompose(np.eye(2, dtype=complex))
-    assert np.allclose(sol.s, [1.0, 1.0])
-    assert sol.n_min == sol.n_max == 2
-
-
-def test_diagonal_channel_phase_convention():
-    sol = svd_decompose(np.diag([3.0, 0.0]).astype(complex))
-    assert np.allclose(sol.s, [3.0, 0.0])
-    assert np.allclose(sol.u_mat, np.eye(2))
-    assert np.allclose(sol.v_mat, np.eye(2))
+    design, gains = sm_design(np.eye(2))
+    assert design.bits.shape == (1, 2)
+    assert np.allclose(gains, np.eye(2))
 
 
 def test_reconstruction_and_unitarity(rng):
     h = complex_normal(rng, (3, 2))  # nr=3, nt=2
-    sol = svd_decompose(h)
-    smat = np.zeros((3, 2))
-    smat[:2, :2] = np.diag(sol.s)
-    rebuilt = sol.u_mat @ smat @ sol.v_mat.conj().T
+    design, gains = sm_design(h)
+    rx, tx = design.rx[0], design.tx[0]
+    assert rx.shape == (2, 3) and tx.shape == (2, 2)
+    # the links are decoupled, with real nonnegative descending gains
+    s = np.diagonal(gains)
+    assert np.abs(gains - np.diag(s)).max() < 1e-10
+    assert np.abs(s.imag).max() < 1e-10 and np.all(s.real >= 0)
+    assert np.all(np.diff(s.real) <= 0)
+    rebuilt = (rx.T * s) @ tx.conj()
     assert np.linalg.norm(rebuilt - h) / np.linalg.norm(h) < 1e-10
-    assert np.allclose(sol.u_mat @ sol.u_mat.conj().T, np.eye(3), atol=1e-10)
-    assert np.allclose(sol.v_mat @ sol.v_mat.conj().T, np.eye(2), atol=1e-10)
-    assert np.all(np.diff(sol.s) <= 0)
-    assert sol.n_min == 2 and sol.n_max == 3
-    # phase gauge: first significant entry of each right singular vector
-    for i in range(2):
-        col = sol.v_mat[:, i]
-        lead = col[np.flatnonzero(np.abs(col) > 1e-12)[0]]
-        assert abs(lead.imag) < 1e-12 and lead.real > 0
+    assert np.allclose(rx.conj() @ rx.T, np.eye(2), atol=1e-10)
+    assert np.allclose(tx.conj() @ tx.T, np.eye(2), atol=1e-10)
 
 
 def test_non_finite_rejected():
     h = np.array([[np.nan, 0], [0, 1]], dtype=complex)
     with pytest.raises(ValueError):
-        svd_decompose(h)
+        sm_design(h)
 
 
 def test_equivalent_channels(rng):
-    sol = svd_decompose(np.diag([2.0, 1.0]).astype(complex))
-    assert np.allclose(sm_equivalent_channels(sol), [2.0, 1.0])
+    assert np.allclose(sm_equivalent_channels(np.diag([2.0, 1.0])),
+                       [2.0, 1.0])
     # rank-1 channel: second gain zero
     u = complex_normal(rng, 2)[:, None]
     v = complex_normal(rng, 2)[None, :]
-    sol = svd_decompose(u @ v)
-    gains = sm_equivalent_channels(sol)
+    gains = sm_equivalent_channels(u @ v)
     assert gains[1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_gains_match_gram_eigenvalues(rng):
     for _ in range(20):
         h = complex_normal(rng, (2, 2))
-        gains = sm_equivalent_channels(svd_decompose(h))
+        gains = sm_equivalent_channels(h)
         eig = np.sqrt(np.sort(np.linalg.eigvalsh(h.conj().T @ h))[::-1])
         assert np.allclose(gains, eig, atol=1e-10)
 
@@ -65,15 +74,15 @@ def test_unitary_invariance(rng):
     h = complex_normal(rng, (2, 3))
     qa, _ = np.linalg.qr(complex_normal(rng, (2, 2)))
     qb, _ = np.linalg.qr(complex_normal(rng, (3, 3)))
-    g1 = sm_equivalent_channels(svd_decompose(h))
-    g2 = sm_equivalent_channels(svd_decompose(qa @ h @ qb))
+    g1 = sm_equivalent_channels(h)
+    g2 = sm_equivalent_channels(qa @ h @ qb)
     assert np.allclose(g1, g2, atol=1e-10)
 
 
 def test_energy_identity(rng):
     h = complex_normal(rng, (3, 3))
-    sol = svd_decompose(h)
-    assert np.sum(sol.s**2) == pytest.approx(np.linalg.norm(h, "fro") ** 2,
+    gains = sm_equivalent_channels(h)
+    assert np.sum(gains**2) == pytest.approx(np.linalg.norm(h, "fro") ** 2,
                                              rel=1e-10)
 
 
