@@ -59,26 +59,25 @@ def check_mode_config(cfg: NetworkConfig, mode: str, loading: bool):
 
 
 def _transmit(gains: np.ndarray, bits_per_ch: np.ndarray,
-              powers: np.ndarray, rng: np.random.Generator,
-              uses: int) -> np.ndarray:
+              powers: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Send one frame over an effective n x n scalar-gain network.
 
     gains[i, j] couples transmit stream j into receive stream i.  Returns
     (n, 2) bits sent and bit errors per stream.  Draw order: data bits
-    per stream in index order, then one (n, uses) noise block.
+    per stream in index order, then one (n, FRAME_USES) noise block.
     """
     n = gains.shape[0]
-    x = np.zeros((n, uses), dtype=complex)
+    x = np.zeros((n, FRAME_USES), dtype=complex)
     tx_bits = []
     for i in range(n):
         b = int(bits_per_ch[i])
         if b > 0:
-            data = rng.integers(0, 2, size=(uses, b))
+            data = rng.integers(0, 2, size=(FRAME_USES, b))
             x[i] = modulate(data, shape_for_bits(b))
         else:
             data = None
         tx_bits.append(data)
-    noise = complex_normal(rng, (n, uses))
+    noise = complex_normal(rng, (n, FRAME_USES))
     amps = np.sqrt(powers)
     r = gains @ (amps[:, None] * x) + noise
 
@@ -90,7 +89,7 @@ def _transmit(gains: np.ndarray, bits_per_ch: np.ndarray,
         g = gains[i, i]
         rx = demodulate(r[i], g if abs(g) > 0 else 0.0, float(amps[i]),
                         shape_for_bits(b))
-        counts[i] = uses * b, int(np.sum(rx != tx_bits[i]))
+        counts[i] = FRAME_USES * b, int(np.sum(rx != tx_bits[i]))
     return counts
 
 
@@ -164,6 +163,16 @@ def _load(gains_sq: np.ndarray, kp: float, r: int):
     return bits, (taken * bits).sum(axis=1) / r
 
 
+def _check_finite(mode: str, sol):
+    """Reject a design with non-finite vectors before any frame uses it."""
+    broken = ~(np.isfinite(sol.u).all(axis=(1, 2))
+               & np.isfinite(sol.v).all(axis=(1, 2)))
+    if broken.any():
+        raise ValueError(f"{mode} design is non-finite in {broken.sum()} "
+                         f"of {len(broken)} frames")
+    return sol
+
+
 def _ia_design(cfg: NetworkConfig, mode: str, h_hat, init_v,
                loading: bool) -> Design:
     """MinIL or Max-SINR design, one stream per pair."""
@@ -171,7 +180,8 @@ def _ia_design(cfg: NetworkConfig, mode: str, h_hat, init_v,
     kp = k * cfg.power_p
     r = cfg.total_rate
     solve = minil_solve_batch if mode == MODE_MINIL else maxsinr_solve_batch
-    sol = solve(h_hat, cfg.power_p, cfg.iterations, init_v)
+    sol = _check_finite(mode, solve(h_hat, cfg.power_p, cfg.iterations,
+                                    init_v))
     pair = np.broadcast_to(np.arange(k), (f, k))
     if not loading:
         return Design(mode, sol.u, sol.v, pair,
@@ -184,8 +194,8 @@ def _ia_design(cfg: NetworkConfig, mode: str, h_hat, init_v,
         bits, _ = _load(sol.sinr / cfg.power_p, kp, r)
         # One re-design pass under the loaded powers, warm-started; the
         # prediction then uses the final SINRs.
-        sol = maxsinr_solve_batch(h_hat, kp / r * bits, cfg.iterations,
-                                  sol.v)
+        sol = _check_finite(mode, maxsinr_solve_batch(
+            h_hat, kp / r * bits, cfg.iterations, sol.v))
         predicted = np.zeros(f)
         for b in range(1, bitload.MAX_BITS_PER_CHANNEL + 1):
             mask = bits == b
@@ -256,8 +266,7 @@ def _stream_gains(h: np.ndarray, design: Design, rows) -> np.ndarray:
 
 
 def run_frames(cfg: NetworkConfig, mode: str, frame_indices,
-               loading: bool = False, uses: int = FRAME_USES,
-               audit: list | None = None) -> np.ndarray:
+               loading: bool = False, audit: list | None = None) -> np.ndarray:
     """Simulate the given frames; returns (F, K, 2) bits/errors per pair.
 
     The active pair of the single-pair benchmark rotates with the frame
@@ -280,7 +289,7 @@ def run_frames(cfg: NetworkConfig, mode: str, frame_indices,
             continue
         gains = _stream_gains(h, design, rows)
         counts = np.array([
-            _transmit(g, design.bits[i], design.powers[i], rngs[i], uses)
+            _transmit(g, design.bits[i], design.powers[i], rngs[i])
             for g, i in zip(gains, rows)])
         np.add.at(out, (rows[:, None], design.pair[rows]), counts)
     if audit is not None:
@@ -295,15 +304,15 @@ def run_frames(cfg: NetworkConfig, mode: str, frame_indices,
 
 
 def _run_range(args):
-    cfg, mode, start, stop, loading, uses = args
-    counts = run_frames(cfg, mode, range(start, stop), loading, uses)
+    cfg, mode, start, stop, loading = args
+    counts = run_frames(cfg, mode, range(start, stop), loading)
     return counts.sum(axis=1)
 
 
 def estimate_ber(cfg: NetworkConfig, mode: str, snr_db: float,
                  target_errors: int = 200, max_bits: int = 20_000_000,
-                 loading: bool = False, uses: int = FRAME_USES,
-                 chunk_frames: int = 400, workers: int = 1) -> BerEstimate:
+                 loading: bool = False, chunk_frames: int = 400,
+                 workers: int = 1) -> BerEstimate:
     """Accumulate frames until enough errors (or the bit cap) is reached.
 
     Deterministic for a fixed (cfg.seed, target_errors, max_bits,
@@ -312,6 +321,11 @@ def estimate_ber(cfg: NetworkConfig, mode: str, snr_db: float,
     own substream.  The confidence interval is cluster-robust over
     frames, since all the bits of one frame share a channel draw.
     """
+    for name, value in (("target_errors", target_errors),
+                        ("max_bits", max_bits),
+                        ("chunk_frames", chunk_frames)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     power = 10.0 ** (snr_db / 10.0)
     cfg = replace(cfg, power_p=power)
     check_mode_config(cfg, mode, loading)
@@ -322,13 +336,13 @@ def estimate_ber(cfg: NetworkConfig, mode: str, snr_db: float,
         stop = start + chunk_frames
         if workers > 1:
             bounds = np.linspace(start, stop, workers + 1, dtype=int)
-            jobs = [(cfg, mode, int(a), int(b), loading, uses)
+            jobs = [(cfg, mode, int(a), int(b), loading)
                     for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
             with concurrent.futures.ProcessPoolExecutor(workers) as pool:
                 chunk = np.vstack(list(pool.map(_run_range, jobs)))
         else:
-            chunk = run_frames(cfg, mode, range(start, stop), loading,
-                               uses).sum(axis=1)
+            chunk = run_frames(cfg, mode, range(start, stop),
+                               loading).sum(axis=1)
         per_frame.append(chunk)
         bits += int(chunk[:, 0].sum())
         errors += int(chunk[:, 1].sum())
@@ -387,7 +401,7 @@ def analytic_ber(cfg: NetworkConfig, mode: str, snr_db: float,
 
 def sweep(cfg: NetworkConfig, snr_grid, eps_grid, modes, loading_flags,
           target_errors: int = 200, max_bits: int = 20_000_000,
-          uses: int = FRAME_USES, workers: int = 1) -> list:
+          workers: int = 1) -> list:
     """Cross product of settings -> one BER estimate row per cell."""
     snr_grid = list(snr_grid)
     eps_grid = list(eps_grid)
@@ -406,7 +420,7 @@ def sweep(cfg: NetworkConfig, snr_grid, eps_grid, modes, loading_flags,
                     est = estimate_ber(cfg_e, mode, snr_db,
                                        target_errors=target_errors,
                                        max_bits=max_bits, loading=loading,
-                                       uses=uses, workers=workers)
+                                       workers=workers)
                     ana = analytic_ber(cfg_e, mode, snr_db, loading)
                     rows.append({
                         "mode": mode,

@@ -5,12 +5,12 @@ Two iterative designs are provided.  The leakage-minimizing design
 through the reciprocal network, of the precoders, driving the total
 interference leakage toward zero.  The SINR-maximizing design (Max-SINR)
 alternates regularized matched-filter updates, each of which maximizes
-that pair's instantaneous SINR for fixed opposite-side vectors.
+that pair's instantaneous SINR for fixed opposite-side vectors.  Both
+run the same reciprocity loop and differ only in the per-node update.
 
-Both operate on a (K, K, nr, nt) channel grid (entry [k, l] is the
-channel from transmitter l into receiver k) and accept per-pair stream
-powers.  Batch variants carry a leading frame axis and are used by the
-Monte Carlo engine; the per-frame functions are thin wrappers.
+Both operate on a batch of (K, K, nr, nt) channel grids with a leading
+frame axis (entry [f, k, l] is the channel from transmitter l into
+receiver k in frame f) and accept per-pair stream powers.
 """
 
 from dataclasses import dataclass
@@ -18,14 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import min_eigvec, solve_posdef, unit
-from .network import complex_normal
 
 
 @dataclass
 class IaSolution:
-    """Per-pair transceiver vectors and their link metrics.
+    """Per-pair transceiver vectors and their link metrics, (F, K, ...).
 
-    Arrays are (K, ...) for a single frame or (F, K, ...) for a batch.
     `z` is the equivalent scalar channel u_k^H H_kk v_k under the channels
     the solver was given; `leakage` and `sinr` are evaluated on the same
     channels with the stored powers and unit noise power.
@@ -39,13 +37,11 @@ class IaSolution:
     per_channel_power: np.ndarray
 
 
-def _as_batch(channels) -> tuple[np.ndarray, bool]:
+def _as_batch(channels) -> np.ndarray:
     channels = np.asarray(channels, dtype=complex)
-    if channels.ndim == 4:
-        return channels[None], True
-    if channels.ndim == 5:
-        return channels, False
-    raise ValueError("channels must be (K, K, nr, nt) or (F, K, K, nr, nt)")
+    if channels.ndim != 5:
+        raise ValueError("channels must be (F, K, K, nr, nt)")
+    return channels
 
 
 def _as_powers(powers, f: int, k: int) -> np.ndarray:
@@ -59,6 +55,14 @@ def _as_powers(powers, f: int, k: int) -> np.ndarray:
     if np.any(p < 0):
         raise ValueError("powers must be nonnegative")
     return p
+
+
+def _start(channels, powers, init_v):
+    """Channels, (F, K) powers and unit initial precoders of a batch."""
+    h = _as_batch(channels)
+    f, k = h.shape[:2]
+    v = unit(np.asarray(init_v, dtype=complex).reshape(f, k, -1))
+    return h, _as_powers(powers, f, k), v
 
 
 def cross_gains(channels: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -76,6 +80,7 @@ def _offdiag_power(g: np.ndarray, powers: np.ndarray) -> np.ndarray:
 
 
 def _metrics(channels, u, v, powers, noise_power=1.0):
+    """(z, leakage, sinr) of combiners u and precoders v on `channels`."""
     g = cross_gains(channels, u, v)
     k = g.shape[-1]
     z = g[..., np.arange(k), np.arange(k)]
@@ -84,98 +89,71 @@ def _metrics(channels, u, v, powers, noise_power=1.0):
     return z, leakage, sinr
 
 
-def interference_leakage(k: int, u: np.ndarray, v_all: np.ndarray,
-                         h_row: np.ndarray, powers) -> float:
-    """Total interference power at receiver k after combining.
+def _alternate(h, p, iterations, v, update, trace=None):
+    """The reciprocity loop shared by both designs; returns (u, v).
 
-    Evaluates sum_{l != k} p_l |u^H H_kl v_l|^2 for combiner `u`, the
-    precoders of all pairs and the channel row into receiver k.
+    Each iteration sets every combiner from its forward interference
+    covariance, then every precoder from its covariance in the reciprocal
+    network, and a final pass matches the combiners to the last
+    precoders.  `update(q, d)` maps stacked covariances q (F, K, n, n) and
+    the node's own-link directions d (F, K, n) to its new unit vectors.
+    When `trace` is a list, the per-frame total leakage is appended after
+    every iteration and after the final pass.
     """
-    u = np.asarray(u)
-    v_all = np.asarray(v_all)
-    h_row = np.asarray(h_row)
-    kk, nr, nt = h_row.shape
-    if u.shape != (nr,) or v_all.shape != (kk, nt):
-        raise ValueError("combiner/precoder dimensions do not match h_row")
-    p = _as_powers(powers, 1, kk)[0]
-    total = 0.0
-    for l in range(kk):
-        if l == k:
-            continue
-        total += p[l] * np.abs(u.conj() @ h_row[l] @ v_all[l]) ** 2
-    return float(total)
-
-
-def _interference_masks(powers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Power weights with the own-pair entry zeroed, both directions.
-
-    fwd[f, k, l] weights transmitter l at receiver k; rev[f, l, k] weights
-    the reciprocal-network transmitter l (receiver l) at node k.
-    """
-    f, k = powers.shape
+    f, k = p.shape
+    # Power weights with the own-pair entry zeroed: fwd[f, k, l] weights
+    # transmitter l at receiver k; rev[f, l, k] weights the reciprocal
+    # transmitter l (receiver l) at node k.
     eye = np.eye(k, dtype=bool)
-    fwd = np.broadcast_to(powers[:, None, :], (f, k, k)).copy()
+    fwd = np.broadcast_to(p[:, None, :], (f, k, k)).copy()
     fwd[:, eye] = 0.0
-    rev = np.broadcast_to(powers[:, :, None], (f, k, k)).copy()
+    rev = np.broadcast_to(p[:, :, None], (f, k, k)).copy()
     rev[:, eye] = 0.0
-    return fwd, rev
+    diag = np.arange(k)
+
+    def combiners(v):
+        t = np.einsum("fklij,flj->fkli", h, v, optimize=True)
+        q = np.einsum("fkl,fkli,fklj->fkij", fwd, t, t.conj(), optimize=True)
+        return update(q, t[:, diag, diag])
+
+    def record(u, v):
+        if trace is not None:
+            trace.append(_offdiag_power(cross_gains(h, u, v), p).sum(axis=-1))
+
+    for _ in range(iterations):
+        u = combiners(v)
+        s = np.einsum("flkij,fli->flkj", h.conj(), u, optimize=True)
+        qr = np.einsum("flk,flki,flkj->fkij", rev, s, s.conj(), optimize=True)
+        v = update(qr, s[:, diag, diag])
+        record(u, v)
+    u = combiners(v)
+    record(u, v)
+    return u, v
 
 
 def minil_solve_batch(channels: np.ndarray, powers, iterations: int,
                       init_v: np.ndarray, track_leakage: bool = False):
     """Leakage-minimizing alternating design over a batch of frames.
 
-    Per iteration every combiner becomes the minimum eigenvector of its
-    interference covariance, then every precoder does the same in the
-    reciprocal direction.  With equal powers the total leakage is
-    non-increasing at every half-step.
+    Every node update is the minimum eigenvector of its interference
+    covariance.  With equal powers the total leakage is non-increasing at
+    every half-step; `track_leakage` also returns its (iterations + 1, F)
+    trace.
     """
-    h, _ = _as_batch(channels)
-    f, k = h.shape[0], h.shape[1]
-    p = _as_powers(powers, f, k)
-    fwd, rev = _interference_masks(p)
-    v = unit(np.asarray(init_v, dtype=complex).reshape(f, k, -1))
-    u = None
-    trace = []
-
-    if k == 1:
+    h, p, v = _start(channels, powers, init_v)
+    trace = [] if track_leakage else None
+    if h.shape[1] == 1:
         # No interferers: any combiner is leakage-optimal, so the precoder
         # stays at its initialization and the combiner is matched to it.
-        u = unit(_matched_combiners(h, v))
+        u = unit(np.einsum("fkij,fkj->fki", h[:, [0], [0]], v,
+                           optimize=True))
     else:
-        for _ in range(iterations):
-            t = np.einsum("fklij,flj->fkli", h, v, optimize=True)
-            q = np.einsum("fkl,fkli,fklj->fkij", fwd, t, t.conj(),
-                          optimize=True)
-            u = min_eigvec(q)
-            s = np.einsum("flkij,fli->flkj", h.conj(), u, optimize=True)
-            qr = np.einsum("flk,flki,flkj->fkij", rev, s, s.conj(),
-                           optimize=True)
-            v = min_eigvec(qr)
-            if track_leakage:
-                g = cross_gains(h, u, v)
-                trace.append(_offdiag_power(g, p).sum(axis=-1))
-        # Receivers match their combiners to the final precoders.
-        t = np.einsum("fklij,flj->fkli", h, v, optimize=True)
-        q = np.einsum("fkl,fkli,fklj->fkij", fwd, t, t.conj(), optimize=True)
-        u = min_eigvec(q)
-        if track_leakage:
-            g = cross_gains(h, u, v)
-            trace.append(_offdiag_power(g, p).sum(axis=-1))
-
-    z, leakage, sinr = _metrics(h, u, v, p)
-    sol = IaSolution(v=v, u=u, z=z, leakage=leakage, sinr=sinr,
-                     per_channel_power=p)
+        u, v = _alternate(h, p, iterations, v, lambda q, d: min_eigvec(q),
+                          trace)
+    sol = IaSolution(v, u, *_metrics(h, u, v, p), p)
     if track_leakage:
         return sol, np.array(trace)
     return sol
-
-
-def _matched_combiners(h: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Matched-filter combiners H_kk v_k."""
-    k = h.shape[1]
-    hd = h[:, np.arange(k), np.arange(k)]
-    return np.einsum("fkij,fkj->fki", hd, v, optimize=True)
 
 
 def maxsinr_solve_batch(channels: np.ndarray, powers, iterations: int,
@@ -185,103 +163,25 @@ def maxsinr_solve_batch(channels: np.ndarray, powers, iterations: int,
     Each combiner update is u_k = normalize(B_k^-1 H_kk v_k) with
     B_k = I + sum_{l != k} p_l H_kl v_l v_l^H H_kl^H, the unit-vector
     maximizer of pair k's SINR; precoders get the mirrored update in the
-    reciprocal network.
+    reciprocal network.  Each returned u_k is the exact SINR maximizer for
+    the returned precoders.
     """
-    h, _ = _as_batch(channels)
-    f, k = h.shape[0], h.shape[1]
-    nr, nt = h.shape[3], h.shape[4]
-    p = _as_powers(powers, f, k)
-    fwd, rev = _interference_masks(p)
-    v = unit(np.asarray(init_v, dtype=complex).reshape(f, k, -1))
-    eye_r = np.eye(nr)
-    eye_t = np.eye(nt)
-    diag = np.arange(k)
-
-    for _ in range(iterations):
-        t = np.einsum("fklij,flj->fkli", h, v, optimize=True)
-        b = eye_r + np.einsum("fkl,fkli,fklj->fkij", fwd, t, t.conj(),
-                              optimize=True)
-        u = unit(solve_posdef(b, t[:, diag, diag]))
-        s = np.einsum("flkij,fli->flkj", h.conj(), u, optimize=True)
-        br = eye_t + np.einsum("flk,flki,flkj->fkij", rev, s, s.conj(),
-                               optimize=True)
-        v = unit(solve_posdef(br, s[:, diag, diag]))
-    # Final combiner refresh: each returned u_k is the exact SINR
-    # maximizer for the returned precoders.
-    t = np.einsum("fklij,flj->fkli", h, v, optimize=True)
-    b = eye_r + np.einsum("fkl,fkli,fklj->fkij", fwd, t, t.conj(),
-                          optimize=True)
-    u = unit(solve_posdef(b, t[:, diag, diag]))
-
-    z, leakage, sinr = _metrics(h, u, v, p)
-    return IaSolution(v=v, u=u, z=z, leakage=leakage, sinr=sinr,
-                      per_channel_power=p)
-
-
-def _random_init(rng: np.random.Generator, k: int, nt: int) -> np.ndarray:
-    return unit(complex_normal(rng, (k, nt)))
-
-
-def _squeeze(sol: IaSolution) -> IaSolution:
-    return IaSolution(v=sol.v[0], u=sol.u[0], z=sol.z[0],
-                      leakage=sol.leakage[0], sinr=sol.sinr[0],
-                      per_channel_power=sol.per_channel_power[0])
-
-
-def minil_solve(channels, powers, iterations: int,
-                rng: np.random.Generator, init_v=None,
-                track_leakage: bool = False):
-    """Single-frame leakage-minimizing design.
-
-    Precoders start as random unit vectors drawn from `rng` unless
-    `init_v` is supplied.
-    """
-    h = np.asarray(channels, dtype=complex)
-    if h.ndim != 4:
-        raise ValueError("channels must be a (K, K, nr, nt) grid")
-    k, nt = h.shape[0], h.shape[3]
-    if init_v is None:
-        init_v = _random_init(rng, k, nt)
-    out = minil_solve_batch(h[None], powers, iterations, init_v[None],
-                            track_leakage=track_leakage)
-    if track_leakage:
-        sol, trace = out
-        return _squeeze(sol), trace[:, 0]
-    return _squeeze(out)
-
-
-def maxsinr_solve(channels, powers, iterations: int,
-                  rng: np.random.Generator, init_v=None) -> IaSolution:
-    """Single-frame SINR-maximizing design (random init as in minil_solve)."""
-    h = np.asarray(channels, dtype=complex)
-    if h.ndim != 4:
-        raise ValueError("channels must be a (K, K, nr, nt) grid")
-    k, nt = h.shape[0], h.shape[3]
-    if init_v is None:
-        init_v = _random_init(rng, k, nt)
-    return _squeeze(maxsinr_solve_batch(h[None], powers, iterations,
-                                        init_v[None]))
+    h, p, v = _start(channels, powers, init_v)
+    u, v = _alternate(
+        h, p, iterations, v,
+        lambda q, d: unit(solve_posdef(np.eye(q.shape[-1]) + q, d)))
+    return IaSolution(v, u, *_metrics(h, u, v, p), p)
 
 
 def evaluate_true_sinr(sol: IaSolution, true_channels, powers=None,
                        noise_power: float = 1.0):
-    """Post-processing SINR of a designed solution on the true channels.
+    """Post-processing SINR of a designed batch on the true channels.
 
     gamma_k = p_k |u_k^H H_kk v_k|^2 / (noise + sum_{l != k} p_l
-    |u_k^H H_kl v_l|^2).  Returns (sinr, signal_gain, interference_power),
-    batched if the inputs are.
+    |u_k^H H_kl v_l|^2).  Returns (sinr, signal_gain, interference_power).
     """
-    h, was_single = _as_batch(true_channels)
-    f, k = h.shape[0], h.shape[1]
-    if powers is None:
-        powers = sol.per_channel_power
-    p = _as_powers(powers, f, k)
-    u = sol.u.reshape(f, k, -1)
-    v = sol.v.reshape(f, k, -1)
-    g = cross_gains(h, u, v)
-    z = g[..., np.arange(k), np.arange(k)]
-    interference = _offdiag_power(g, p)
-    sinr = p * np.abs(z) ** 2 / (noise_power + interference)
-    if was_single:
-        return sinr[0], z[0], interference[0]
+    h = _as_batch(true_channels)
+    p = _as_powers(sol.per_channel_power if powers is None else powers,
+                   *h.shape[:2])
+    z, interference, sinr = _metrics(h, sol.u, sol.v, p, noise_power)
     return sinr, z, interference

@@ -3,9 +3,9 @@ import pytest
 
 from iasim.modem import minil_avg_ber, shape_for_bits
 from iasim.network import NetworkConfig
-from iasim.simulate import (_design, _sample_frames, analytic_ber,
-                            check_mode_config, estimate_ber, fig1_stats,
-                            run_frames, sweep)
+from iasim.simulate import (FRAME_USES, _design, _sample_frames,
+                            analytic_ber, check_mode_config, estimate_ber,
+                            fig1_stats, run_frames, sweep)
 
 
 @pytest.fixture
@@ -50,14 +50,12 @@ class TestReproducibility:
 class TestAccounting:
     def test_rate_per_frame_exact(self, cfg):
         # every frame carries exactly K * rate_per_pair bits per use
-        uses = 50
         for mode, loading in (("minil", False), ("maxsinr", True),
                               ("svd", False), ("svd", True),
                               ("adaptive", True)):
-            counts = run_frames(cfg, mode, range(6), loading=loading,
-                                uses=uses)
+            counts = run_frames(cfg, mode, range(6), loading=loading)
             per_frame_bits = counts[:, :, 0].sum(axis=1)
-            assert np.all(per_frame_bits == cfg.total_rate * uses)
+            assert np.all(per_frame_bits == cfg.total_rate * FRAME_USES)
 
     def test_power_budget(self, cfg):
         # loaded channel powers sum to KP exactly; unloaded modes transmit
@@ -118,6 +116,15 @@ class TestPhysicalLimits:
         with pytest.raises(ValueError, match="unknown mode"):
             run_frames(cfg, "zf", range(1))
 
+    @pytest.mark.parametrize("loading", [False, True])
+    def test_nonfinite_design_rejected(self, loading):
+        # At 150 dB the 2x2 Max-SINR solve overflows in 10 of these 200
+        # frames; they must not be demodulated into a plausible BER.
+        cfg = NetworkConfig(k_pairs=3, nt=2, nr=2, power_p=1e15, seed=0)
+        with np.errstate(all="ignore"), pytest.raises(
+                ValueError, match="maxsinr design is non-finite in 10 of 200"):
+            run_frames(cfg, "maxsinr", range(200), loading=loading)
+
 
 class TestEstimateBer:
     def test_stops_on_target_errors(self, cfg):
@@ -130,6 +137,12 @@ class TestEstimateBer:
     def test_non_finite_snr_rejected(self, cfg, snr_db):
         with pytest.raises(ValueError, match="power_p"):
             estimate_ber(cfg, "minil", snr_db, max_bits=1)
+
+    @pytest.mark.parametrize("arg", ["chunk_frames", "target_errors",
+                                     "max_bits"])
+    def test_nonpositive_stop_argument_rejected(self, cfg, arg):
+        with pytest.raises(ValueError, match=arg):
+            estimate_ber(cfg, "minil", 10.0, **{arg: 0})
 
     def test_zero_errors_one_sided(self):
         cfg = NetworkConfig(k_pairs=3, nt=2, nr=2, power_p=1e8,

@@ -3,13 +3,13 @@ import pytest
 
 from conftest import draw_inits
 from iasim.linalg import unit
-from iasim.network import NetworkConfig, complex_normal, substream
-from iasim.solvers import (evaluate_true_sinr, interference_leakage,
-                           maxsinr_solve, maxsinr_solve_batch, minil_solve,
-                           minil_solve_batch)
+from iasim.network import NetworkConfig, complex_normal
+from iasim.solvers import (IaSolution, evaluate_true_sinr,
+                           maxsinr_solve_batch, minil_solve_batch)
 
 
 def brute_force_leakage(k, u, v_all, h_row, powers):
+    """Scalar oracle: sum_{l != k} p_l |u^H H_kl v_l|^2 at receiver k."""
     total = 0.0
     for l in range(h_row.shape[0]):
         if l == k:
@@ -22,12 +22,30 @@ def brute_force_leakage(k, u, v_all, h_row, powers):
     return total
 
 
+def batched_leakage(k, u, v_all, h_row, powers):
+    """Receiver k's leakage as evaluate_true_sinr computes it.
+
+    Embeds the channel row into receiver k and its combiner u into an
+    otherwise zero one-frame network.
+    """
+    kk, nr, nt = h_row.shape
+    h = np.zeros((1, kk, kk, nr, nt), dtype=complex)
+    h[0, k] = h_row
+    us = np.zeros((1, kk, len(u)), dtype=complex)
+    us[0, k] = u
+    sol = IaSolution(v=v_all[None], u=us, z=None, leakage=None, sinr=None,
+                     per_channel_power=None)
+    _, _, interference = evaluate_true_sinr(sol, h, powers)
+    return interference[0, k]
+
+
 class TestInterferenceLeakage:
     def test_single_pair_empty_sum(self, rng):
         h_row = complex_normal(rng, (1, 2, 2))
         u = unit(complex_normal(rng, 2))
         v = unit(complex_normal(rng, (1, 2)))
-        assert interference_leakage(0, u, v, h_row, 10.0) == 0.0
+        assert batched_leakage(0, u, v, h_row, 10.0) == 0.0
+        assert brute_force_leakage(0, u, v, h_row, [10.0]) == 0.0
 
     def test_aligned_combiner_equality_case(self, rng):
         # K=2, u parallel to H12 v2 -> leakage is exactly P * ||H12 v2||^2
@@ -36,8 +54,10 @@ class TestInterferenceLeakage:
         t = h_row[1] @ v[1]
         u = t / np.linalg.norm(t)
         p = 7.5
-        got = interference_leakage(0, u, v, h_row, [p, p])
+        got = batched_leakage(0, u, v, h_row, [p, p])
         assert got == pytest.approx(p * np.linalg.norm(t) ** 2, rel=1e-12)
+        assert got == pytest.approx(
+            brute_force_leakage(0, u, v, h_row, [p, p]), rel=1e-12)
 
     def test_matches_brute_force(self, rng):
         for _ in range(20):
@@ -45,26 +65,28 @@ class TestInterferenceLeakage:
             u = unit(complex_normal(rng, 2))
             v = unit(complex_normal(rng, (3, 2)))
             p = rng.uniform(0.5, 20.0, 3)
-            got = interference_leakage(1, u, v, h_row, p)
+            got = batched_leakage(1, u, v, h_row, p)
             want = brute_force_leakage(1, u, v, h_row, p)
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_dimension_mismatch(self, rng):
         h_row = complex_normal(rng, (2, 2, 2))
         with pytest.raises(ValueError):
-            interference_leakage(0, np.ones(3), unit(complex_normal(rng, (2, 2))),
-                                 h_row, 1.0)
+            batched_leakage(0, np.ones(3), unit(complex_normal(rng, (2, 2))),
+                            h_row, 1.0)
 
 
 class TestMinil:
     def test_single_pair_no_interferers(self, rng):
         h = complex_normal(rng, (1, 1, 2, 2))
         init = unit(complex_normal(rng, (1, 2)))
-        sol = minil_solve(h, 5.0, 10, rng, init_v=init)
-        assert sol.leakage[0] == 0.0
+        sol = minil_solve_batch(h[None], 5.0, 10, init[None])
+        assert sol.leakage[0, 0] == 0.0
         # precoder stays at the initialization; z is consistent with (u, v)
-        assert np.allclose(np.abs(sol.v[0].conj() @ init[0]), 1.0, atol=1e-12)
-        assert sol.z[0] == pytest.approx(sol.u[0].conj() @ h[0, 0] @ sol.v[0])
+        assert np.allclose(np.abs(sol.v[0, 0].conj() @ init[0]), 1.0,
+                           atol=1e-12)
+        assert sol.z[0, 0] == pytest.approx(
+            sol.u[0, 0].conj() @ h[0, 0] @ sol.v[0, 0])
 
     def test_unit_norms_and_consistency(self, rng):
         cfg = NetworkConfig(k_pairs=3, nt=2, nr=2, power_p=10.0, seed=41)
@@ -75,8 +97,8 @@ class TestMinil:
         # stored leakage equals the formula on the stored vectors
         for f in (0, 17, 33):
             for k in range(3):
-                want = interference_leakage(k, sol.u[f, k], sol.v[f],
-                                            cs.h[f, k], sol.per_channel_power[f])
+                want = brute_force_leakage(k, sol.u[f, k], sol.v[f], cs.h[f, k],
+                                           sol.per_channel_power[f])
                 assert sol.leakage[f, k] == pytest.approx(want, rel=1e-10)
 
     def test_feasible_convergence_statistics(self):
@@ -112,12 +134,12 @@ class TestMinil:
         norm_leak = sol.leakage.sum(axis=1) / (4 * cfg.power_p)
         assert (norm_leak > 1e-3).mean() >= 0.99
 
-    def test_total_leakage_monotone(self, rng):
+    def test_total_leakage_monotone(self):
         cfg = NetworkConfig(k_pairs=3, nt=2, nr=2, power_p=10.0, seed=77)
         cs, inits = draw_inits(cfg, range(20))
-        _, trace = minil_solve(cs.h[0], cfg.power_p, 80,
-                               substream(0, 0), init_v=inits[0, 0],
-                               track_leakage=True)
+        _, trace = minil_solve_batch(cs.h[:1], cfg.power_p, 80, inits[:1, 0],
+                                     track_leakage=True)
+        trace = trace[:, 0]
         assert np.all(np.diff(trace) <= 1e-9 * max(trace[0], 1.0))
 
     def test_equivalent_channel_statistics(self):
@@ -133,9 +155,10 @@ class TestMinil:
 class TestMaxsinr:
     def test_single_pair_is_dominant_singular_pair(self, rng):
         h = complex_normal(rng, (1, 1, 2, 2))
-        sol = maxsinr_solve(h, 10.0, 100, rng)
+        init = unit(complex_normal(rng, (1, 2)))
+        sol = maxsinr_solve_batch(h[None], 10.0, 100, init[None])
         smax = np.linalg.svd(h[0, 0], compute_uv=False)[0]
-        assert abs(sol.z[0]) == pytest.approx(smax, abs=1e-6)
+        assert abs(sol.z[0, 0]) == pytest.approx(smax, abs=1e-6)
 
     def test_update_is_sinr_maximizer(self, rng):
         # Perturbing any returned combiner never improves that pair's SINR.
@@ -149,7 +172,7 @@ class TestMaxsinr:
                     u = unit(sol.u[f, k] + 0.3 * complex_normal(rng, 2))
                     num = cfg.power_p * abs(u.conj() @ cs.h[f, k, k]
                                             @ sol.v[f, k]) ** 2
-                    den = 1.0 + interference_leakage(
+                    den = 1.0 + brute_force_leakage(
                         k, u, sol.v[f], cs.h[f, k], sol.per_channel_power[f])
                     assert num / den <= base * (1 + 1e-9)
 
@@ -210,20 +233,6 @@ class TestEvaluateTrueSinr:
         _, _, interf = evaluate_true_sinr(sol, cs.h)
         expect = eps * (cfg.k_pairs - 1) * p
         assert interf.mean() == pytest.approx(expect, rel=0.05)
-
-
-def test_per_frame_wrappers_match_batch():
-    cfg = NetworkConfig(k_pairs=3, nt=2, nr=2, power_p=10.0, seed=61)
-    cs, inits = draw_inits(cfg, range(5))
-    batch_m = minil_solve_batch(cs.h, cfg.power_p, 30, inits[:, 0])
-    batch_x = maxsinr_solve_batch(cs.h, cfg.power_p, 30, inits[:, 0])
-    for f in range(5):
-        sm = minil_solve(cs.h[f], cfg.power_p, 30, substream(0, 0),
-                         init_v=inits[f, 0])
-        sx = maxsinr_solve(cs.h[f], cfg.power_p, 30, substream(0, 0),
-                           init_v=inits[f, 0])
-        assert np.allclose(sm.v, batch_m.v[f])
-        assert np.allclose(sx.sinr, batch_x.sinr[f])
 
 
 def test_powers_enter_solution():
