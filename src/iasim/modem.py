@@ -123,27 +123,35 @@ def modulate(bits, shape: ConstellationShape) -> np.ndarray:
     return sym[0] if single else sym
 
 
-def demodulate(y, gain, amplitude: float, shape: ConstellationShape) -> np.ndarray:
+def demodulate(y, gain, amplitude, shape: ConstellationShape) -> np.ndarray:
     """Nearest-neighbor detection after equalizing by gain * amplitude.
 
-    A zero gain marks the stream dead: the demodulator emits all-zero
-    bits, which against random data count as ~50% errors.
+    `gain` and `amplitude` may be scalars or arrays that broadcast against
+    `y` (say (M, 1) for M rows of symbols); the result has the broadcast
+    shape plus a trailing axis of shape.bits bits.  A zero gain marks the
+    stream dead: its symbols demodulate to all-zero bits, which against
+    random data count as ~50% errors.  A non-finite gain, or an amplitude
+    that is not finite and positive, is rejected.
     """
     y = np.asarray(y, dtype=complex)
-    single = y.ndim == 0
-    y = np.atleast_1d(y)
-    if amplitude <= 0:
-        raise ValueError("amplitude must be positive")
-    if np.all(gain == 0):
-        out = np.zeros((y.size, shape.bits), dtype=np.int64)
-        return out[0] if single else out
-    x = y / (np.asarray(gain) * amplitude)
+    gain = np.asarray(gain)
+    amplitude = np.asarray(amplitude, dtype=float)
+    if not np.all(np.isfinite(amplitude) & (amplitude > 0)):
+        raise ValueError("amplitude must be finite and positive")
+    if not np.all(np.isfinite(gain)):
+        raise ValueError("gain must be finite")
+    dead = gain == 0
+    x = y / np.where(dead, 1.0, gain * amplitude)
+    single = x.ndim == 0
+    x = np.atleast_1d(x)
     lab_i = _pam_demodulate(x.real, shape.i_side, shape.half_spacing)
     bits = [_int_to_bits(lab_i, shape.i_bits)]
     if shape.j_side > 1:
         lab_j = _pam_demodulate(x.imag, shape.j_side, shape.half_spacing)
         bits.append(_int_to_bits(lab_j, shape.j_bits))
     out = np.concatenate(bits, axis=-1)
+    if np.any(dead):
+        out[np.broadcast_to(dead, x.shape)] = 0
     return out[0] if single else out
 
 

@@ -29,6 +29,7 @@ from .linalg import unit
 MODE_ADAPTIVE = "adaptive"
 RUN_MODES = (MODE_MINIL, MODE_MAXSINR, MODE_SVD, MODE_ADAPTIVE)
 FRAME_USES = 100  # symbols per stream per frame
+_BLOCK_FRAMES = 25  # frames per transmit block: bounds its temporaries
 
 
 def check_mode_config(cfg: NetworkConfig, mode: str, loading: bool):
@@ -58,38 +59,57 @@ def check_mode_config(cfg: NetworkConfig, mode: str, loading: bool):
                     f"supported {bitload.MAX_BITS_PER_CHANNEL}")
 
 
-def _transmit(gains: np.ndarray, bits_per_ch: np.ndarray,
-              powers: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Send one frame over an effective n x n scalar-gain network.
+def _transmit(gains: np.ndarray, bits: np.ndarray, powers: np.ndarray,
+              rngs) -> np.ndarray:
+    """Send a batch of frames over effective n x n scalar-gain networks.
 
-    gains[i, j] couples transmit stream j into receive stream i.  Returns
-    (n, 2) bits sent and bit errors per stream.  Draw order: data bits
-    per stream in index order, then one (n, FRAME_USES) noise block.
+    gains[f, i, j] (F, n, n) couples transmit stream j into receive stream
+    i of frame f; bits and powers are (F, n).  Returns (F, n, 2) bits sent
+    and bit errors per stream.  Draw order, from each frame's own rngs[f]:
+    the data bits stream by stream in index order (a 0-bit stream draws
+    nothing), then one (n, FRAME_USES) noise block.  Frames go through in
+    blocks of _BLOCK_FRAMES to bound the temporaries.
     """
-    n = gains.shape[0]
-    x = np.zeros((n, FRAME_USES), dtype=complex)
-    tx_bits = []
-    for i in range(n):
-        b = int(bits_per_ch[i])
-        if b > 0:
-            data = rng.integers(0, 2, size=(FRAME_USES, b))
-            x[i] = modulate(data, shape_for_bits(b))
-        else:
-            data = None
-        tx_bits.append(data)
-    noise = complex_normal(rng, (n, FRAME_USES))
-    amps = np.sqrt(powers)
-    r = gains @ (amps[:, None] * x) + noise
+    counts = np.zeros(bits.shape + (2,), dtype=np.int64)
+    for lo in range(0, len(rngs), _BLOCK_FRAMES):
+        blk = slice(lo, lo + _BLOCK_FRAMES)
+        counts[blk] = _transmit_block(gains[blk], bits[blk], powers[blk],
+                                      rngs[blk])
+    return counts
 
-    counts = np.zeros((n, 2), dtype=np.int64)
-    for i in range(n):
-        b = int(bits_per_ch[i])
-        if b == 0:
-            continue
-        g = gains[i, i]
-        rx = demodulate(r[i], g if abs(g) > 0 else 0.0, float(amps[i]),
-                        shape_for_bits(b))
-        counts[i] = FRAME_USES * b, int(np.sum(rx != tx_bits[i]))
+
+def _transmit_block(gains, bits, powers, rngs) -> np.ndarray:
+    """One block of _transmit: per-frame draws, then one modulate and one
+    demodulate call per bit count and one stacked channel product."""
+    f, n = bits.shape
+    loads = [int(b) for b in np.unique(bits) if b > 0]
+    # Streams carrying b bits, frame-major: the order the draws visit them.
+    streams = {b: np.nonzero(bits == b) for b in loads}
+    data = {b: np.empty((len(streams[b][0]), FRAME_USES, b), dtype=np.uint8)
+            for b in loads}
+    filled = dict.fromkeys(loads, 0)
+    noise = np.empty((f, n, FRAME_USES), dtype=complex)
+    for i, (rng, row) in enumerate(zip(rngs, bits.tolist())):
+        for b in row:
+            if b > 0:
+                data[b][filled[b]] = rng.integers(0, 2, size=(FRAME_USES, b))
+                filled[b] += 1
+        noise[i] = complex_normal(rng, (n, FRAME_USES))
+
+    amps = np.sqrt(powers)
+    x = np.zeros((f, n, FRAME_USES), dtype=complex)
+    for b in loads:
+        x[streams[b]] = modulate(data[b].reshape(-1, b),
+                                 shape_for_bits(b)).reshape(-1, FRAME_USES)
+    r = gains @ (amps[..., None] * x) + noise
+
+    counts = np.zeros((f, n, 2), dtype=np.int64)
+    for b in loads:
+        fr, st = streams[b]
+        rx = demodulate(r[fr, st], gains[fr, st, st][:, None],
+                        amps[fr, st][:, None], shape_for_bits(b))
+        counts[fr, st, 0] = FRAME_USES * b
+        counts[fr, st, 1] = (rx != data[b]).sum(axis=(1, 2))
     return counts
 
 
@@ -287,10 +307,8 @@ def run_frames(cfg: NetworkConfig, mode: str, frame_indices,
         rows = np.flatnonzero(pick == j)
         if not rows.size:
             continue
-        gains = _stream_gains(h, design, rows)
-        counts = np.array([
-            _transmit(g, design.bits[i], design.powers[i], rngs[i])
-            for g, i in zip(gains, rows)])
+        counts = _transmit(_stream_gains(h, design, rows), design.bits[rows],
+                           design.powers[rows], [rngs[i] for i in rows])
         np.add.at(out, (rows[:, None], design.pair[rows]), counts)
     if audit is not None:
         for i, j in enumerate(pick):

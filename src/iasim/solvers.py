@@ -14,6 +14,7 @@ receiver k in frame f) and accept per-pair stream powers.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -65,10 +66,22 @@ def _start(channels, powers, init_v):
     return h, _as_powers(powers, f, k), v
 
 
+@lru_cache(maxsize=256)
+def _plan(subscripts: str, *shapes) -> tuple:
+    """The contraction path `optimize=True` picks for these shapes."""
+    operands = [np.broadcast_to(0.0, shape) for shape in shapes]
+    return tuple(np.einsum_path(subscripts, *operands, optimize=True)[0])
+
+
+def _einsum(subscripts: str, *operands) -> np.ndarray:
+    """np.einsum(..., optimize=True) with the path planned once per shape."""
+    path = _plan(subscripts, *(op.shape for op in operands))
+    return np.einsum(subscripts, *operands, optimize=path)
+
+
 def cross_gains(channels: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Effective scalar gains g[k, l] = u_k^H H_kl v_l (batched)."""
-    return np.einsum("...ki,...klij,...lj->...kl", u.conj(), channels, v,
-                     optimize=True)
+    return _einsum("...ki,...klij,...lj->...kl", u.conj(), channels, v)
 
 
 def _offdiag_power(g: np.ndarray, powers: np.ndarray) -> np.ndarray:
@@ -112,8 +125,8 @@ def _alternate(h, p, iterations, v, update, trace=None):
     diag = np.arange(k)
 
     def combiners(v):
-        t = np.einsum("fklij,flj->fkli", h, v, optimize=True)
-        q = np.einsum("fkl,fkli,fklj->fkij", fwd, t, t.conj(), optimize=True)
+        t = _einsum("fklij,flj->fkli", h, v)
+        q = _einsum("fkl,fkli,fklj->fkij", fwd, t, t.conj())
         return update(q, t[:, diag, diag])
 
     def record(u, v):
@@ -122,8 +135,8 @@ def _alternate(h, p, iterations, v, update, trace=None):
 
     for _ in range(iterations):
         u = combiners(v)
-        s = np.einsum("flkij,fli->flkj", h.conj(), u, optimize=True)
-        qr = np.einsum("flk,flki,flkj->fkij", rev, s, s.conj(), optimize=True)
+        s = _einsum("flkij,fli->flkj", h.conj(), u)
+        qr = _einsum("flk,flki,flkj->fkij", rev, s, s.conj())
         v = update(qr, s[:, diag, diag])
         record(u, v)
     u = combiners(v)
@@ -145,8 +158,7 @@ def minil_solve_batch(channels: np.ndarray, powers, iterations: int,
     if h.shape[1] == 1:
         # No interferers: any combiner is leakage-optimal, so the precoder
         # stays at its initialization and the combiner is matched to it.
-        u = unit(np.einsum("fkij,fkj->fki", h[:, [0], [0]], v,
-                           optimize=True))
+        u = unit(_einsum("fkij,fkj->fki", h[:, [0], [0]], v))
     else:
         u, v = _alternate(h, p, iterations, v, lambda q, d: min_eigvec(q),
                           trace)

@@ -19,6 +19,8 @@ from iasim.network import NetworkConfig
 from iasim.simulate import estimate_ber, fig1_stats
 from iasim.solvers import evaluate_true_sinr, minil_solve_batch
 
+pytestmark = pytest.mark.acceptance
+
 SEED = 20240817
 # Criterion 12's exact reference runs on frames that share no channel
 # draws with the Monte Carlo curves it judges.

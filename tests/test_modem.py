@@ -74,6 +74,35 @@ class TestModulateDemodulate:
         assert np.all(out == 0)
 
     @pytest.mark.parametrize("b", range(1, 7))
+    def test_per_row_gain_and_amplitude(self, b, rng):
+        # Row m equalizes by its own gain and amplitude, exactly as a
+        # one-row call does; a row of gain 0 is dead and reads all zeros.
+        sh = shape_for_bits(b)
+        gain = complex_normal(rng, (5, 1))
+        gain[2] = 0.0
+        amp = rng.uniform(0.5, 3.0, (5, 1))
+        y = complex_normal(rng, (5, 40)) * 3.0
+        out = demodulate(y, gain, amp, sh)
+        assert out.shape == (5, 40, b)
+        for m in range(5):
+            assert np.array_equal(out[m],
+                                  demodulate(y[m], gain[m, 0], amp[m, 0], sh))
+        assert np.all(out[2] == 0)
+        assert np.any(out[[0, 1, 3, 4]] != 0)
+
+    @pytest.mark.parametrize("amplitude", [float("nan"), float("inf"), 0.0,
+                                           -1.0, [1.0, float("nan")]])
+    def test_bad_amplitude_rejected(self, amplitude):
+        with pytest.raises(ValueError, match="amplitude"):
+            demodulate(np.ones(2), 1.0, amplitude, shape_for_bits(2))
+
+    @pytest.mark.parametrize("gain", [float("nan"), complex(0, float("inf")),
+                                      [1.0, float("nan")]])
+    def test_nonfinite_gain_rejected(self, gain):
+        with pytest.raises(ValueError, match="gain"):
+            demodulate(np.ones(2), gain, 1.0, shape_for_bits(2))
+
+    @pytest.mark.parametrize("b", range(1, 7))
     def test_gray_adjacency_exhaustive(self, b):
         # Nearest-neighbor symbol pairs differ in exactly one bit.
         sh = shape_for_bits(b)

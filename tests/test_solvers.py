@@ -4,7 +4,7 @@ import pytest
 from conftest import draw_inits
 from iasim.linalg import unit
 from iasim.network import NetworkConfig, complex_normal
-from iasim.solvers import (IaSolution, evaluate_true_sinr,
+from iasim.solvers import (IaSolution, _einsum, evaluate_true_sinr,
                            maxsinr_solve_batch, minil_solve_batch)
 
 
@@ -246,3 +246,18 @@ def test_powers_enter_solution():
     g = cross_gains(cs.h, sol.u, sol.v)
     leak0 = (np.abs(g[:, 0, 2]) ** 2) * 15.0 + (np.abs(g[:, 0, 1]) ** 2) * 0.0
     assert np.allclose(sol.leakage[:, 0], leak0, rtol=1e-10)
+
+
+@pytest.mark.parametrize("subscripts", [
+    "...ki,...klij,...lj->...kl", "fklij,flj->fkli", "fkl,fkli,fklj->fkij",
+    "flkij,fli->flkj", "flk,flki,flkj->fkij"])
+def test_planned_einsum_is_bit_identical(subscripts, rng):
+    # The cached path is the one optimize=True plans, so each solver
+    # contraction gives the same bits, on the first call and the next.
+    f, k, nr, nt = 7, 3, 2, 3
+    dims = {"f": f, "k": k, "l": k, "i": nr, "j": nt}
+    terms = subscripts.replace("...", "f").split("->")[0].split(",")
+    ops = [complex_normal(rng, tuple(dims[c] for c in t)) for t in terms]
+    want = np.einsum(subscripts, *ops, optimize=True)
+    for _ in range(2):
+        assert np.array_equal(_einsum(subscripts, *ops), want)
