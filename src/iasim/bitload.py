@@ -25,42 +25,14 @@ def check_rate_budget(n_channels: int, total_rate: int):
             f"constellations beyond {2**MAX_BITS_PER_CHANNEL}-QAM")
 
 
-def greedy_bitload(ber_of, n_channels: int, total_rate: int) -> np.ndarray:
-    """Allocate total_rate bits greedily over n_channels channels.
-
-    `ber_of(i, b)` must return the bit error probability of channel i
-    carrying b bits (1 <= b <= total_rate) at per-bit power already folded
-    in.  Each step adds the single bit that minimizes the weighted sum
-    (1/R) * sum_i ber_of(i, bits_i) * bits_i; ties go to the lowest
-    channel index.  Returns the bit vector.
-    """
-    check_rate_budget(n_channels, total_rate)
-    bits = np.zeros(n_channels, dtype=int)
-    contrib = np.zeros(n_channels)  # ber_of(i, bits_i) * bits_i
-    for _ in range(total_rate):
-        best = -1
-        best_obj = np.inf
-        for i in range(n_channels):
-            if bits[i] >= MAX_BITS_PER_CHANNEL:
-                continue
-            p = ber_of(i, int(bits[i]) + 1)
-            if not np.isfinite(p):
-                raise ValueError(f"ber_of({i}, {bits[i] + 1}) is not finite")
-            obj = contrib.sum() - contrib[i] + p * (bits[i] + 1)
-            if obj < best_obj:
-                best_obj = obj
-                best = i
-        bits[best] += 1
-        contrib[best] = ber_of(best, int(bits[best])) * bits[best]
-    return bits
-
-
 def greedy_bitload_table(ber_table: np.ndarray, total_rate: int) -> np.ndarray:
     """Vectorized greedy allocation for a batch of frames.
 
     ber_table has shape (F, n_channels, max_bits) with entry [f, i, b-1]
-    the bit error probability of channel i at b bits.  Returns (F,
-    n_channels) bit counts.  Matches greedy_bitload step for step.
+    the bit error probability of channel i at b bits.  Each step adds, per
+    frame, the one bit that minimizes sum_i ber_table[f, i, b_i-1] * b_i;
+    ties go to the lowest channel index.  Returns (F, n_channels) bit
+    counts.
     """
     f, n, maxb = ber_table.shape
     check_rate_budget(n, total_rate)

@@ -15,8 +15,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .network import NetworkConfig
-from .simulate import (MODE_ADAPTIVE, RUN_MODES, check_mode_config,
-                       fig1_stats, sweep)
+from .simulate import (MODE_ADAPTIVE, RUN_MODES, check_count,
+                       check_mode_config, fig1_stats, sweep)
 
 _CONFIG_KEYS = {
     "k", "nt", "nr", "rate_per_pair", "epsilon", "snr_db", "modes",
@@ -187,6 +187,7 @@ def preset(name: str, seed: int = 0) -> Experiment:
 def run_experiment(exp: Experiment, out_dir, workers: int = 1,
                    timestamp: bool = True) -> Path:
     """Run one experiment and write its CSV; returns the file path."""
+    check_count("workers", workers)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / f"{exp.name}.csv"

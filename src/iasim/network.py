@@ -8,9 +8,11 @@ term, h = sqrt(1-eps)*h_hat + sqrt(eps)*w.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 
 @dataclass
@@ -70,18 +72,131 @@ class NetworkConfig:
         return max(self.nt, self.nr)
 
 
-def substream(seed: int, index: int) -> np.random.Generator:
-    """Independent counter-based random stream for frame `index`.
+# SeedSequence's hash (numpy.random.bit_generator), for deriving a batch
+# of frame keys at once.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_POOL = 4
+_SHIFT = np.uint32(16)
 
-    Built on Philox keyed by (seed, index), so any partitioning of frames
-    across workers reproduces the serial draw sequence bit-exactly.
+
+def _words(n: int) -> list:
+    """The 32-bit words of a non-negative integer, least significant first."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _hasher(init: int, mult: int):
+    """SeedSequence's running hash: each call hashes one word array."""
+    const = init
+
+    def hashed(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> _SHIFT)
+
+    return hashed
+
+
+def _mix(x, y):
+    r = _MIX_L * x - _MIX_R * y
+    return r ^ (r >> _SHIFT)
+
+
+def _pool_keys(entropy: list) -> np.ndarray:
+    """Philox keys, (G, 2) uint64, of G entropy word rows given as columns.
+
+    Each column is a uint32 array broadcasting to (G,); the steps are
+    SeedSequence's mix_entropy, then generate_state(2, np.uint64).
     """
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
-    return np.random.Generator(np.random.Philox(ss))
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in entropy[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    hashout = _hasher(_INIT_B, _MULT_B)
+    state = [hashout(word).astype(np.uint64) for word in pool]
+    return np.stack([state[0] | state[1] << np.uint64(32),
+                     state[2] | state[3] << np.uint64(32)], axis=-1)
 
 
-def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    """Circularly-symmetric complex Gaussian, unit variance per entry."""
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
-    return (re + 1j * im) / np.sqrt(2.0)
+def _philox_keys(seed: int, indices: list) -> np.ndarray:
+    """(F, 2) keys equal to SeedSequence(entropy=seed, spawn_key=(i,))
+    .generate_state(2, np.uint64) for each index i.
+
+    A spawn key follows the seed's words, which are zero-padded to the
+    pool size.  Indices are grouped by their number of 32-bit words.
+    """
+    if indices and min(indices) < 0:
+        raise ValueError(f"frame index must be >= 0, got {min(indices)}")
+    run = _words(seed)
+    run = [np.array([w], np.uint32) for w in run + [0] * (_POOL - len(run))]
+    keys = np.empty((len(indices), 2), np.uint64)
+    groups = {}
+    for row, i in enumerate(indices):
+        groups.setdefault(len(_words(i)), []).append(row)
+    for rows in groups.values():
+        words = np.array([_words(indices[r]) for r in rows], np.uint32)
+        keys[rows] = _pool_keys(run + list(words.T))
+    return keys
+
+
+class _PhiloxKey(ISeedSequence):
+    """A derived Philox key, handed to Philox as its seed sequence."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if (n_words, dtype) != (2, np.uint64):
+            raise ValueError("a Philox key is two 64-bit words")
+        return self.key
+
+
+def substream(seed: int, indices) -> list:
+    """Independent counter-based random streams, one per frame index.
+
+    Frame i's stream is Philox keyed as by
+    SeedSequence(entropy=seed, spawn_key=(i,)), so any partitioning of
+    frames across workers reproduces the serial draw sequence bit-exactly.
+    The keys of the whole batch are derived in one vectorised pass of
+    SeedSequence's hash.  Each frame's generator then makes one call per
+    draw kind, in the order h_hat, w, precoder inits, data bits, noise.
+    """
+    indices = [operator.index(i) for i in indices]
+    return [np.random.Generator(np.random.Philox(_PhiloxKey(key)))
+            for key in _philox_keys(seed, indices)]
+
+
+def complex_normal(rng, shape) -> np.ndarray:
+    """Circularly-symmetric complex Gaussian, unit variance per entry.
+
+    `rng` is one generator, giving an array of `shape`, or a sequence of
+    F per-frame generators, giving (F,) + shape with row f drawn from
+    rngs[f].  Each generator makes one standard_normal call: the real
+    parts, then the imaginary parts.  Scaling by 1/sqrt(2) gives the same
+    bits as dividing the complex draw by sqrt(2).
+    """
+    if isinstance(rng, np.random.Generator):
+        return complex_normal([rng], shape)[0]
+    shape = (shape,) if np.ndim(shape) == 0 else tuple(shape)
+    parts = np.empty((len(rng), 2) + shape)
+    for gen, row in zip(rng, parts):
+        gen.standard_normal(out=row)
+    parts *= 1.0 / np.sqrt(2.0)
+    out = np.empty((len(rng),) + shape, dtype=complex)
+    out.real = parts[:, 0]
+    out.imag = parts[:, 1]
+    return out

@@ -28,7 +28,12 @@ from .linalg import unit
 
 MODE_ADAPTIVE = "adaptive"
 RUN_MODES = (MODE_MINIL, MODE_MAXSINR, MODE_SVD, MODE_ADAPTIVE)
-FRAME_USES = 100  # symbols per stream per frame
+# Symbols per stream per frame.  A frame's data bits are one
+# integers(0, 2, FRAME_USES * sum(bits)) draw, cut into its streams.  That
+# equals one draw per stream for any FRAME_USES, odd products included:
+# each bit takes one 32-bit word, never rejected, and the spare half of a
+# 64-bit Philox output stays in the bit generator from call to call.
+FRAME_USES = 100
 _BLOCK_FRAMES = 25  # frames per transmit block: bounds its temporaries
 
 
@@ -59,15 +64,23 @@ def check_mode_config(cfg: NetworkConfig, mode: str, loading: bool):
                     f"supported {bitload.MAX_BITS_PER_CHANNEL}")
 
 
+def check_count(name: str, value):
+    """Reject a size or worker count that is not an integer >= 1."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < 1):
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def _transmit(gains: np.ndarray, bits: np.ndarray, powers: np.ndarray,
               rngs) -> np.ndarray:
     """Send a batch of frames over effective n x n scalar-gain networks.
 
     gains[f, i, j] (F, n, n) couples transmit stream j into receive stream
     i of frame f; bits and powers are (F, n).  Returns (F, n, 2) bits sent
-    and bit errors per stream.  Draw order, from each frame's own rngs[f]:
-    the data bits stream by stream in index order (a 0-bit stream draws
-    nothing), then one (n, FRAME_USES) noise block.  Frames go through in
+    and bit errors per stream.  Each frame's own rngs[f] makes two calls:
+    one integers(0, 2) draw of FRAME_USES * sum(bits[f]) data bits, cut
+    into the streams in index order (a 0-bit stream takes none), then one
+    (n, FRAME_USES) complex_normal noise block.  Frames go through in
     blocks of _BLOCK_FRAMES to bound the temporaries.
     """
     counts = np.zeros(bits.shape + (2,), dtype=np.int64)
@@ -85,16 +98,13 @@ def _transmit_block(gains, bits, powers, rngs) -> np.ndarray:
     loads = [int(b) for b in np.unique(bits) if b > 0]
     # Streams carrying b bits, frame-major: the order the draws visit them.
     streams = {b: np.nonzero(bits == b) for b in loads}
-    data = {b: np.empty((len(streams[b][0]), FRAME_USES, b), dtype=np.uint8)
-            for b in loads}
-    filled = dict.fromkeys(loads, 0)
-    noise = np.empty((f, n, FRAME_USES), dtype=complex)
-    for i, (rng, row) in enumerate(zip(rngs, bits.tolist())):
-        for b in row:
-            if b > 0:
-                data[b][filled[b]] = rng.integers(0, 2, size=(FRAME_USES, b))
-                filled[b] += 1
-        noise[i] = complex_normal(rng, (n, FRAME_USES))
+    drawn = np.concatenate([rng.integers(0, 2, FRAME_USES * total)
+                            for rng, total in zip(rngs, bits.sum(axis=1))])
+    # Stream (f, s) takes FRAME_USES * bits[f, s] bits from its offset.
+    start = FRAME_USES * (np.cumsum(bits) - bits.ravel()).reshape(f, n)
+    data = {b: drawn[start[streams[b]][:, None] + np.arange(FRAME_USES * b)]
+            .reshape(-1, FRAME_USES, b) for b in loads}
+    noise = complex_normal(rngs, (n, FRAME_USES))
 
     amps = np.sqrt(powers)
     x = np.zeros((f, n, FRAME_USES), dtype=complex)
@@ -118,26 +128,25 @@ def _sample_frames(cfg: NetworkConfig, frame_indices):
 
     Each frame's substream yields the estimate h_hat, then the error term
     w, then (see _draw_inits) any precoder initialisations, then the
-    frame's data and noise (see _transmit).
+    frame's data and noise (see _transmit): one call per draw kind.
     """
-    rngs = [substream(cfg.seed, int(i)) for i in frame_indices]
-    f = len(rngs)
+    rngs = substream(cfg.seed, frame_indices)
     shape = (cfg.k_pairs, cfg.k_pairs, cfg.nr, cfg.nt)
-    h_hat = np.empty((f,) + shape, dtype=complex)
-    w = np.empty_like(h_hat)
-    for i, rng in enumerate(rngs):
-        h_hat[i] = complex_normal(rng, shape)
-        w[i] = complex_normal(rng, shape)
+    h_hat = complex_normal(rngs, shape)
+    w = complex_normal(rngs, shape)
     h = np.sqrt(1.0 - cfg.epsilon) * h_hat + np.sqrt(cfg.epsilon) * w
     return rngs, h_hat, h
 
 
 def _draw_inits(cfg: NetworkConfig, rngs, n: int) -> np.ndarray:
-    """n unit-norm precoder initialisations per frame, (F, n, K, nt)."""
+    """n unit-norm precoder initialisations per frame, (F, n, K, nt).
+
+    One complex_normal batch call per init slot, so each frame draws its
+    n inits in slot order.
+    """
     inits = np.empty((len(rngs), n, cfg.k_pairs, cfg.nt), dtype=complex)
-    for i, rng in enumerate(rngs):
-        for j in range(n):
-            inits[i, j] = unit(complex_normal(rng, (cfg.k_pairs, cfg.nt)))
+    for j in range(n):
+        inits[:, j] = unit(complex_normal(rngs, (cfg.k_pairs, cfg.nt)))
     return inits
 
 
@@ -339,9 +348,10 @@ def estimate_ber(cfg: NetworkConfig, mode: str, snr_db: float,
     own substream.  The confidence interval is cluster-robust over
     frames, since all the bits of one frame share a channel draw.
     """
+    check_count("chunk_frames", chunk_frames)
+    check_count("workers", workers)
     for name, value in (("target_errors", target_errors),
-                        ("max_bits", max_bits),
-                        ("chunk_frames", chunk_frames)):
+                        ("max_bits", max_bits)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
     power = 10.0 ** (snr_db / 10.0)

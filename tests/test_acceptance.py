@@ -445,7 +445,7 @@ def test_criterion_13_property_suite(cfg22, rng):
     # Compact re-assertion of the always-on invariants; the full versions
     # live in the per-module test files.
     import itertools
-    from iasim.bitload import greedy_bitload
+    from iasim.bitload import greedy_bitload_table
     from iasim.simulate import run_frames
 
     # budget exactness + unit norms on a live loaded run
@@ -457,7 +457,8 @@ def test_criterion_13_property_suite(cfg22, rng):
     def ber_of(i, b):
         return ber_awgn_instant(shape_for_bits(b), (i + 1.0) * b)
 
-    assert greedy_bitload(ber_of, 3, 6).sum() == 6
+    table = np.stack([ber_of(np.arange(3), b) for b in range(1, 7)], axis=-1)
+    assert greedy_bitload_table(table[None], 6).sum() == 6
 
     # leakage monotonicity
     _, trace = minil_solve_batch(cs.h[:1], cfg22.power_p, 60, inits[:1, 0],

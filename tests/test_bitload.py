@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from iasim import simulate
-from iasim.bitload import greedy_bitload, greedy_bitload_table
+from iasim.bitload import MAX_BITS_PER_CHANNEL, greedy_bitload_table
 from iasim.linalg import unit
 from iasim.modem import ber_awgn_instant, shape_for_bits
 from iasim.network import NetworkConfig, complex_normal
 from iasim.simulate import (Design, _design, _load, _sample_frames,
                             _stream_gains)
+from oracles import greedy_bitload
 
 
 def weighted_ber(bits, ber_of, r):
@@ -27,6 +28,13 @@ def exhaustive_best(ber_of, n, r, cap=6):
     return np.array(best), best_obj
 
 
+def table_bitload(ber_of, n, r):
+    """greedy_bitload_table on one frame whose BER table comes from ber_of."""
+    levels = range(1, min(r, MAX_BITS_PER_CHANNEL) + 1)
+    table = np.array([[ber_of(i, b) for b in levels] for i in range(n)])
+    return greedy_bitload_table(table[None], r)[0]
+
+
 def snr_oracle(gains, kp, r):
     def ber_of(i, b):
         return ber_awgn_instant(shape_for_bits(b), gains[i] * (kp / r) * b)
@@ -36,13 +44,13 @@ def snr_oracle(gains, kp, r):
 class TestGreedy:
     def test_single_bit(self):
         ber_of = snr_oracle([0.2, 2.0, 1.0], 30.0, 1)
-        bits = greedy_bitload(ber_of, 3, 1)
+        bits = table_bitload(ber_of, 3, 1)
         assert list(bits) == [0, 1, 0]
 
     def test_dead_channel_gets_nothing(self):
         # channel 2 gain zero: any bit there costs 0.5 per bit
         ber_of = snr_oracle([1.0, 0.0], 20.0, 4)
-        bits = greedy_bitload(ber_of, 2, 4)
+        bits = table_bitload(ber_of, 2, 4)
         assert list(bits) == [4, 0]
         want, _ = exhaustive_best(ber_of, 2, 4)
         assert np.array_equal(bits, want)
@@ -50,7 +58,7 @@ class TestGreedy:
     def test_equal_gains_uniform_split(self):
         # three unit gains, R=6, power keeping 4-QAM operable
         ber_of = snr_oracle([1.0, 1.0, 1.0], 60.0, 6)
-        bits = greedy_bitload(ber_of, 3, 6)
+        bits = table_bitload(ber_of, 3, 6)
         assert list(bits) == [2, 2, 2]
         want, _ = exhaustive_best(ber_of, 3, 6)
         assert np.array_equal(bits, want)
@@ -60,7 +68,7 @@ class TestGreedy:
             n = int(rng.integers(2, 5))
             r = int(rng.integers(1, min(6 * n, 10) + 1))
             gains = rng.gamma(1.0, 1.0, n)
-            bits = greedy_bitload(snr_oracle(gains, 30.0, r), n, r)
+            bits = table_bitload(snr_oracle(gains, 30.0, r), n, r)
             assert bits.sum() == r
             assert np.all(bits >= 0) and np.all(bits <= 6)
 
@@ -68,7 +76,7 @@ class TestGreedy:
         for _ in range(20):
             gains = rng.gamma(1.0, 1.0, 3)
             ber_of = snr_oracle(gains, 40.0, 6)
-            bits = greedy_bitload(ber_of, 3, 6)
+            bits = table_bitload(ber_of, 3, 6)
             assert (weighted_ber(bits, ber_of, 6)
                     <= weighted_ber([2, 2, 2], ber_of, 6) + 1e-15)
 
@@ -78,7 +86,7 @@ class TestGreedy:
         r = 6
         ber_of = snr_oracle(gains, 25.0, r)
         bits = np.zeros(3, dtype=int)
-        final = greedy_bitload(ber_of, 3, r)
+        final = table_bitload(ber_of, 3, r)
         for _ in range(r):
             objs = []
             for i in range(3):
@@ -91,15 +99,15 @@ class TestGreedy:
 
     def test_tie_break_lowest_index(self):
         ber_of = snr_oracle([1.0, 1.0], 20.0, 1)
-        assert list(greedy_bitload(ber_of, 2, 1)) == [1, 0]
+        assert list(table_bitload(ber_of, 2, 1)) == [1, 0]
 
     def test_rate_budget_rejected(self):
         with pytest.raises(ValueError):
-            greedy_bitload(snr_oracle([1.0], 10.0, 7), 1, 7)
+            table_bitload(snr_oracle([1.0], 10.0, 7), 1, 7)
 
     def test_non_finite_oracle_rejected(self):
         with pytest.raises(ValueError):
-            greedy_bitload(lambda i, b: np.nan, 2, 3)
+            table_bitload(lambda i, b: np.nan, 2, 3)
 
     def test_table_variant_matches_scalar(self, rng):
         kp, r = 35.0, 6

@@ -170,6 +170,16 @@ class TestMain:
         assert rc == 1
         assert "bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("preset_name", ["fig1", "fig2"])
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_bad_workers_exit_code(self, tmp_path, capsys, preset_name,
+                                   workers):
+        rc = main(["--preset", preset_name, "--workers", workers,
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: workers")
+        assert not (tmp_path / "out").exists()
+
     def test_missing_file_exit_code(self, tmp_path, capsys):
         rc = main(["--config", str(tmp_path / "nope.cfg")])
         assert rc == 1

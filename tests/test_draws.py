@@ -1,0 +1,125 @@
+"""The batched draw layer against numpy's SeedSequence and per-frame loops.
+
+`substream` derives a batch's Philox keys in one vectorised pass and
+`complex_normal` fills a batch with one call per generator; the engine's
+`_sample_frames` and `_draw_inits` make one batch call per draw kind.  All
+of them must give exactly the draws of the frame-by-frame references in
+`oracles`, and leave every frame's generator in the same state.
+"""
+
+import numpy as np
+import pytest
+
+import oracles
+from iasim.network import (NetworkConfig, _philox_keys, _PhiloxKey,
+                           complex_normal, substream)
+from iasim.simulate import FRAME_USES, _draw_inits, _sample_frames
+
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**127 + 11, 2**128 + 5,
+         2**200 + 7]
+# Spawn keys of one, two and three 32-bit words, mixed in one batch.
+WIDE = [2**32 - 1, 2**32, 17, 2**40 + 3, 2**64 - 1, 2**64, 2**70 + 1, 0]
+
+
+def reference_key(seed, index):
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
+    return ss.generate_state(2, np.uint64)
+
+
+def philox_state(rng):
+    s = rng.bit_generator.state
+    return (s["state"]["counter"].tolist(), s["state"]["key"].tolist(),
+            s["buffer"].tolist(), s["buffer_pos"], s["has_uint32"],
+            s["uinteger"])
+
+
+def assert_same_state(rngs, refs):
+    assert [philox_state(r) for r in rngs] == [philox_state(r) for r in refs]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_keys_match_seed_sequence(seed):
+    indices = list(range(60)) + WIDE
+    keys = _philox_keys(seed, indices)
+    want = np.array([reference_key(seed, i) for i in indices])
+    assert keys.dtype == np.uint64
+    assert np.array_equal(keys, want)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 + 3])
+def test_substreams_match_seed_sequence(seed):
+    indices = [5, 2**32 + 5, 0, 2**64 + 9]
+    for rng, i in zip(substream(seed, indices), indices, strict=True):
+        ref = oracles.substream(seed, i)
+        assert np.array_equal(rng.standard_normal(8), ref.standard_normal(8))
+        assert np.array_equal(rng.integers(0, 2, 33), ref.integers(0, 2, 33))
+
+
+def test_empty_and_single_batches():
+    assert substream(3, []) == []
+    (rng,) = substream(3, [7])
+    assert np.array_equal(rng.random(4), oracles.substream(3, 7).random(4))
+
+
+def test_key_serves_only_a_philox_key():
+    key = _philox_keys(0, [0])[0]
+    assert _PhiloxKey(key).generate_state(2, np.uint64) is key
+    with pytest.raises(ValueError):
+        _PhiloxKey(key).generate_state(4, np.uint32)
+
+
+def test_negative_index_rejected():
+    with pytest.raises(ValueError):
+        np.random.SeedSequence(entropy=0, spawn_key=(-1,))
+    with pytest.raises(ValueError, match="index"):
+        substream(0, [3, -1, 4])
+
+
+def test_non_integer_index_rejected():
+    with pytest.raises(TypeError):
+        substream(0, [1.5])
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 5), (3, 3, 2, 2), 4])
+def test_complex_normal_matches_two_draw_formula(shape):
+    rngs = substream(8, range(40))
+    refs = [oracles.substream(8, i) for i in range(40)]
+    got = complex_normal(rngs, shape)
+    want = np.stack([oracles.complex_normal(r, shape) for r in refs])
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert_same_state(rngs, refs)
+
+
+def test_complex_normal_single_generator():
+    got = complex_normal(np.random.default_rng(4), (5, 7))
+    want = oracles.complex_normal(np.random.default_rng(4), (5, 7))
+    assert got.shape == (5, 7)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("frames", [1, 25, 400])
+def test_sample_and_inits_match_per_frame_oracle(frames):
+    cfg = NetworkConfig(k_pairs=4, nt=3, nr=2, epsilon=0.3, seed=21)
+    indices = range(1000, 1000 + frames)
+    rngs, h_hat, h = _sample_frames(cfg, indices)
+    inits = _draw_inits(cfg, rngs, 2)
+    refs, ref_h_hat, ref_h = oracles.sample_frames(cfg, indices)
+    ref_inits = oracles.draw_inits(cfg, refs, 2)
+    assert h_hat.tobytes() == ref_h_hat.tobytes()
+    assert h.tobytes() == ref_h.tobytes()
+    assert inits.tobytes() == ref_inits.tobytes()
+    assert_same_state(rngs, refs)
+
+
+@pytest.mark.parametrize("bits", [[2, 2, 2], [1, 0, 3], [5], [0, 0, 1]])
+@pytest.mark.parametrize("uses", [FRAME_USES, 7])
+def test_fused_data_draw_matches_per_stream_draws(bits, uses):
+    # One integers(0, 2) call per frame equals the per-stream calls, then
+    # leaves the generator where they do, for odd sizes too.
+    (fused,), (split,) = substream(2, [9]), substream(2, [9])
+    got = fused.integers(0, 2, uses * sum(bits))
+    want = np.concatenate([split.integers(0, 2, size=(uses, b)).ravel()
+                           for b in bits])
+    assert np.array_equal(got, want)
+    assert np.array_equal(fused.standard_normal(5), split.standard_normal(5))

@@ -40,8 +40,9 @@ def test_leakage_equals_scalar_recomputation(seed, k, nt, nr):
        r=st.integers(1, 12))
 @settings(max_examples=60, deadline=None)
 def test_greedy_budget_property(seed, n, r):
-    from iasim.bitload import MAX_BITS_PER_CHANNEL, greedy_bitload
+    from iasim.bitload import MAX_BITS_PER_CHANNEL, greedy_bitload_table
     from iasim.modem import ber_awgn_instant
+    from oracles import greedy_bitload
 
     if r > n * MAX_BITS_PER_CHANNEL:
         return
@@ -51,6 +52,9 @@ def test_greedy_budget_property(seed, n, r):
     def ber_of(i, b):
         return ber_awgn_instant(shape_for_bits(b), gains[i] * 5.0 * b)
 
-    bits = greedy_bitload(ber_of, n, r)
+    levels = range(1, min(r, MAX_BITS_PER_CHANNEL) + 1)
+    table = np.stack([ber_of(np.arange(n), b) for b in levels], axis=-1)
+    bits = greedy_bitload_table(table[None], r)[0]
+    assert np.array_equal(bits, greedy_bitload(ber_of, n, r))
     assert bits.sum() == r
     assert np.all((bits >= 0) & (bits <= MAX_BITS_PER_CHANNEL))

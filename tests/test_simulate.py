@@ -144,6 +144,18 @@ class TestEstimateBer:
         with pytest.raises(ValueError, match=arg):
             estimate_ber(cfg, "minil", 10.0, **{arg: 0})
 
+    @pytest.mark.parametrize("arg", ["workers", "chunk_frames"])
+    @pytest.mark.parametrize("value", [0, -3, True, 2.5, 4.0, "2"])
+    def test_bad_worker_or_chunk_count_rejected(self, cfg, arg, value):
+        with pytest.raises(ValueError, match=arg):
+            estimate_ber(cfg, "minil", 10.0, **{arg: value})
+
+    def test_numpy_integer_counts_accepted(self, cfg):
+        a = estimate_ber(cfg, "minil", 10.0, max_bits=1,
+                         chunk_frames=np.int64(3), workers=np.int32(1))
+        b = estimate_ber(cfg, "minil", 10.0, max_bits=1, chunk_frames=3)
+        assert (a.bits_sent, a.bit_errors) == (b.bits_sent, b.bit_errors)
+
     def test_zero_errors_one_sided(self):
         cfg = NetworkConfig(k_pairs=3, nt=2, nr=2, power_p=1e8,
                             iterations=2000, seed=3)

@@ -14,7 +14,7 @@ def sm_design(direct):
     nr, nt = direct.shape
     cfg = NetworkConfig(k_pairs=1, nt=nt, nr=nr, rate_per_pair=min(nt, nr))
     h = direct[None, None, None]
-    (design,), _ = _design(cfg, "svd", False, [substream(0, 0)], h,
+    (design,), _ = _design(cfg, "svd", False, substream(0, [0]), h,
                            np.zeros(1, dtype=int))
     return design, _stream_gains(h, design, np.arange(1))[0]
 

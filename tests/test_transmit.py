@@ -1,9 +1,10 @@
 """The batched transmit path against a frame-by-frame reference.
 
-`transmit_frame` is the scalar oracle: it sends one frame with one
-modulate and one demodulate call per stream.  `simulate._transmit` sends a
-whole batch in blocks and must give exactly the same counts, and leave
-every frame's substream in the same state, whatever the batch size.
+`transmit_frame` is the scalar oracle: it sends one frame with one data
+draw, one modulate and one demodulate call per stream.
+`simulate._transmit` sends a whole batch in blocks, with one data draw
+per frame, and must give exactly the same counts, and leave every frame's
+substream in the same state, whatever the batch size.
 """
 
 import tracemalloc
@@ -11,6 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracles
 from iasim import simulate
 from iasim.modem import demodulate, modulate, shape_for_bits
 from iasim.network import NetworkConfig, complex_normal, substream
@@ -35,7 +37,7 @@ def transmit_frame(gains, bits_per_ch, powers, rng):
         else:
             data = None
         tx_bits.append(data)
-    noise = complex_normal(rng, (n, FRAME_USES))
+    noise = oracles.complex_normal(rng, (n, FRAME_USES))
     amps = np.sqrt(powers)
     r = gains @ (amps[:, None] * x) + noise
 
@@ -64,12 +66,13 @@ def _batch(frames, n=3, seed=11):
 
 def _assert_matches_oracle(gains, bits, powers, seed=5):
     frames = len(bits)
-    rngs = [substream(seed, i) for i in range(frames)]
+    rngs = substream(seed, range(frames))
     got = _transmit(gains, bits, powers, rngs)
     for i, rng in enumerate(rngs):
-        ref_rng = substream(seed, i)
+        ref_rng = oracles.substream(seed, i)
         want = transmit_frame(gains[i], bits[i], powers[i], ref_rng)
         assert np.array_equal(got[i], want), f"frame {i}"
+        assert np.array_equal(rng.integers(0, 2, 3), ref_rng.integers(0, 2, 3))
         assert np.array_equal(rng.random(4), ref_rng.random(4))
     return got
 
