@@ -15,6 +15,13 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 
+def check_count(name: str, value):
+    """Reject a size, count or iteration budget that is not an integer >= 1."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < 1):
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 @dataclass
 class NetworkConfig:
     """Full parameterization of one simulated network."""

@@ -22,7 +22,7 @@ from .bitload import (MODE_MAXSINR, MODE_MINIL, MODE_SVD,
                       greedy_bitload_table)
 from .modem import (BerEstimate, ber_awgn_instant, minil_avg_ber,
                     shape_for_bits, svd_avg_ber, modulate, demodulate)
-from .network import NetworkConfig, complex_normal, substream
+from .network import NetworkConfig, check_count, complex_normal, substream
 from .solvers import cross_gains, maxsinr_solve_batch, minil_solve_batch
 from .linalg import unit
 
@@ -62,13 +62,6 @@ def check_mode_config(cfg: NetworkConfig, mode: str, loading: bool):
                 raise ValueError(
                     f"{r // cfg.n_min} bits per eigenmode exceeds the "
                     f"supported {bitload.MAX_BITS_PER_CHANNEL}")
-
-
-def check_count(name: str, value):
-    """Reject a size or worker count that is not an integer >= 1."""
-    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            or value < 1):
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def _transmit(gains: np.ndarray, bits: np.ndarray, powers: np.ndarray,

@@ -19,6 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import min_eigvec, solve_posdef, unit
+from .network import check_count
 
 
 @dataclass
@@ -40,8 +41,9 @@ class IaSolution:
 
 def _as_batch(channels) -> np.ndarray:
     channels = np.asarray(channels, dtype=complex)
-    if channels.ndim != 5:
-        raise ValueError("channels must be (F, K, K, nr, nt)")
+    if channels.ndim != 5 or channels.shape[1] != channels.shape[2]:
+        raise ValueError(
+            f"channels must be (F, K, K, nr, nt), got {channels.shape}")
     return channels
 
 
@@ -53,17 +55,23 @@ def _as_powers(powers, f: int, k: int) -> np.ndarray:
         p = np.broadcast_to(p, (f, k))
     if p.shape != (f, k):
         raise ValueError(f"powers must broadcast to ({f}, {k})")
+    if not np.isfinite(p).all():
+        raise ValueError("powers must be finite")
     if np.any(p < 0):
         raise ValueError("powers must be nonnegative")
     return p
 
 
-def _start(channels, powers, init_v):
+def _start(channels, powers, iterations, init_v):
     """Channels, (F, K) powers and unit initial precoders of a batch."""
     h = _as_batch(channels)
-    f, k = h.shape[:2]
-    v = unit(np.asarray(init_v, dtype=complex).reshape(f, k, -1))
-    return h, _as_powers(powers, f, k), v
+    f, k, _, _, nt = h.shape
+    check_count("iterations", iterations)
+    v = np.asarray(init_v, dtype=complex)
+    if v.shape != (f, k, nt):
+        raise ValueError(f"init_v must be (F, K, nt) = {(f, k, nt)}, "
+                         f"got {v.shape}")
+    return h, _as_powers(powers, f, k), unit(v)
 
 
 @lru_cache(maxsize=256)
@@ -74,7 +82,11 @@ def _plan(subscripts: str, *shapes) -> tuple:
 
 
 def _einsum(subscripts: str, *operands) -> np.ndarray:
-    """np.einsum(..., optimize=True) with the path planned once per shape."""
+    """np.einsum(..., optimize=True) with the path planned once per shape.
+
+    Only the once-per-solve contractions use it: `cross_gains` and the
+    K = 1 matched combiner.
+    """
     path = _plan(subscripts, *(op.shape for op in operands))
     return np.einsum(subscripts, *operands, optimize=path)
 
@@ -112,34 +124,54 @@ def _alternate(h, p, iterations, v, update, trace=None):
     the node's own-link directions d (F, K, n) to its new unit vectors.
     When `trace` is a list, the per-frame total leakage is appended after
     every iteration and after the final pass.
-    """
-    f, k = p.shape
-    # Power weights with the own-pair entry zeroed: fwd[f, k, l] weights
-    # transmitter l at receiver k; rev[f, l, k] weights the reciprocal
-    # transmitter l (receiver l) at node k.
-    eye = np.eye(k, dtype=bool)
-    fwd = np.broadcast_to(p[:, None, :], (f, k, k)).copy()
-    fwd[:, eye] = 0.0
-    rev = np.broadcast_to(p[:, :, None], (f, k, k)).copy()
-    rev[:, eye] = 0.0
-    diag = np.arange(k)
 
-    def combiners(v):
-        t = _einsum("fklij,flj->fkli", h, v)
-        q = _einsum("fkl,fkli,fklj->fkij", fwd, t, t.conj())
-        return update(q, t[:, diag, diag])
+    The loop runs the batched matmuls that `np.einsum(optimize=True)`
+    plans for its four contractions, on the operand layouts einsum
+    builds, so it gives einsum's bits.  The two channel layouts do not
+    change between iterations, so they are built once per solve:
+    hf[(f, l), j, (k, i)] = H_kl[i, j] and hr[(f, l), i, (k, j)] =
+    conj(H_lk[i, j]).  A half-step's products t[f, l, k] = H_kl v_l and
+    s[f, l, k] = H_lk^H u_l are then one row-times-matrix product per
+    (f, l), or, when the contracted antenna axis has size 1, the
+    broadcast multiply einsum uses instead.  Each covariance
+    sum_l w[k, f, l] t t^H is one (n, K) @ (K, n) product per (k, f) on
+    C-contiguous copies, as einsum's reshapes make them.  The weights
+    w[k, f, l] = p[f, l], own pair zeroed, serve both directions.
+    """
+    f, k, _, nr, nt = h.shape
+    hf = h.transpose(0, 2, 4, 1, 3).reshape(f * k, nt, k * nr)
+    hr = h.conj().transpose(0, 1, 3, 2, 4).reshape(f * k, nr, k * nt)
+    diag = np.arange(k)
+    w = np.broadcast_to(p, (k, f, k)).copy()
+    w[diag, :, diag] = 0.0
+
+    def product(x, layout):
+        """y[f, l, k] = layout[(f, l)]^T x[f, l], as (F, K, K, n)."""
+        m = layout.shape[1]
+        if m == 1:
+            y = x.reshape(f, k, 1, 1) * layout.reshape(f, k, k, -1)
+        else:
+            y = x.reshape(f * k, 1, m) @ layout
+        return y.reshape(f, k, k, -1)
+
+    def update_from(t):
+        """New vectors from t[f, l, k], the signal of source l at node k."""
+        n = t.shape[-1]
+        tk = t.transpose(2, 0, 1, 3)
+        a = (tk * w[..., None]).swapaxes(-1, -2).reshape(k * f, n, k)
+        q = a @ tk.conj().reshape(k * f, k, n)
+        return update(q.reshape(k, f, n, n).transpose(1, 0, 2, 3),
+                      t[:, diag, diag])
 
     def record(u, v):
         if trace is not None:
             trace.append(_offdiag_power(cross_gains(h, u, v), p).sum(axis=-1))
 
     for _ in range(iterations):
-        u = combiners(v)
-        s = _einsum("flkij,fli->flkj", h.conj(), u)
-        qr = _einsum("flk,flki,flkj->fkij", rev, s, s.conj())
-        v = update(qr, s[:, diag, diag])
+        u = update_from(product(v, hf))
+        v = update_from(product(u, hr))
         record(u, v)
-    u = combiners(v)
+    u = update_from(product(v, hf))
     record(u, v)
     return u, v
 
@@ -153,7 +185,7 @@ def minil_solve_batch(channels: np.ndarray, powers, iterations: int,
     every half-step; `track_leakage` also returns its (iterations + 1, F)
     trace.
     """
-    h, p, v = _start(channels, powers, init_v)
+    h, p, v = _start(channels, powers, iterations, init_v)
     trace = [] if track_leakage else None
     if h.shape[1] == 1:
         # No interferers: any combiner is leakage-optimal, so the precoder
@@ -178,7 +210,7 @@ def maxsinr_solve_batch(channels: np.ndarray, powers, iterations: int,
     reciprocal network.  Each returned u_k is the exact SINR maximizer for
     the returned precoders.
     """
-    h, p, v = _start(channels, powers, init_v)
+    h, p, v = _start(channels, powers, iterations, init_v)
     u, v = _alternate(
         h, p, iterations, v,
         lambda q, d: unit(solve_posdef(np.eye(q.shape[-1]) + q, d)))

@@ -1,14 +1,15 @@
-"""Scalar reference versions of the engine's batched layers.
+"""Reference versions of the engine's batched layers.
 
-Each function here is the frame-by-frame (or channel-by-channel) form
-that a batched function in the package must match exactly; the tests
-compare the two.  None of them runs in the engine.
+Each function here is the frame-by-frame (or channel-by-channel, or
+einsum) form that a function in the package must match exactly; the
+tests compare the two.  None of them runs in the engine.
 """
 
 import numpy as np
 
 from iasim.bitload import MAX_BITS_PER_CHANNEL, check_rate_budget
 from iasim.linalg import unit
+from iasim.solvers import _einsum, _offdiag_power, cross_gains
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
@@ -74,3 +75,45 @@ def greedy_bitload(ber_of, n_channels: int, total_rate: int) -> np.ndarray:
         bits[best] += 1
         contrib[best] = ber_of(best, int(bits[best])) * bits[best]
     return bits
+
+
+def alternate(h, p, iterations, v, update, trace=None):
+    """The reciprocity loop of `solvers._alternate`, with einsum contractions.
+
+    Each iteration sets every combiner from its forward interference
+    covariance, then every precoder from its covariance in the reciprocal
+    network, and a final pass matches the combiners to the last
+    precoders.  `update(q, d)` maps stacked covariances q (F, K, n, n) and
+    the node's own-link directions d (F, K, n) to its new unit vectors.
+    When `trace` is a list, the per-frame total leakage is appended after
+    every iteration and after the final pass.
+    """
+    f, k = p.shape
+    # Power weights with the own-pair entry zeroed: fwd[f, k, l] weights
+    # transmitter l at receiver k; rev[f, l, k] weights the reciprocal
+    # transmitter l (receiver l) at node k.
+    eye = np.eye(k, dtype=bool)
+    fwd = np.broadcast_to(p[:, None, :], (f, k, k)).copy()
+    fwd[:, eye] = 0.0
+    rev = np.broadcast_to(p[:, :, None], (f, k, k)).copy()
+    rev[:, eye] = 0.0
+    diag = np.arange(k)
+
+    def combiners(v):
+        t = _einsum("fklij,flj->fkli", h, v)
+        q = _einsum("fkl,fkli,fklj->fkij", fwd, t, t.conj())
+        return update(q, t[:, diag, diag])
+
+    def record(u, v):
+        if trace is not None:
+            trace.append(_offdiag_power(cross_gains(h, u, v), p).sum(axis=-1))
+
+    for _ in range(iterations):
+        u = combiners(v)
+        s = _einsum("flkij,fli->flkj", h.conj(), u)
+        qr = _einsum("flk,flki,flkj->fkij", rev, s, s.conj())
+        v = update(qr, s[:, diag, diag])
+        record(u, v)
+    u = combiners(v)
+    record(u, v)
+    return u, v

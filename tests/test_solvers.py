@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import oracles
 from conftest import draw_inits
+from iasim import solvers
 from iasim.linalg import unit
 from iasim.network import NetworkConfig, complex_normal
 from iasim.solvers import (IaSolution, _einsum, evaluate_true_sinr,
@@ -249,11 +251,11 @@ def test_powers_enter_solution():
 
 
 @pytest.mark.parametrize("subscripts", [
-    "...ki,...klij,...lj->...kl", "fklij,flj->fkli", "fkl,fkli,fklj->fkij",
-    "flkij,fli->flkj", "flk,flki,flkj->fkij"])
+    "...ki,...klij,...lj->...kl", "fkij,fkj->fki"])
 def test_planned_einsum_is_bit_identical(subscripts, rng):
-    # The cached path is the one optimize=True plans, so each solver
-    # contraction gives the same bits, on the first call and the next.
+    # The cached path is the one optimize=True plans, so each contraction
+    # left on _einsum (cross_gains and the K = 1 combiner) gives the same
+    # bits, on the first call and the next.
     f, k, nr, nt = 7, 3, 2, 3
     dims = {"f": f, "k": k, "l": k, "i": nr, "j": nt}
     terms = subscripts.replace("...", "f").split("->")[0].split(",")
@@ -261,3 +263,101 @@ def test_planned_einsum_is_bit_identical(subscripts, rng):
     want = np.einsum(subscripts, *ops, optimize=True)
     for _ in range(2):
         assert np.array_equal(_einsum(subscripts, *ops), want)
+
+
+def _same_bytes(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("frames", [1, 25, 400])
+@pytest.mark.parametrize("k,nr,nt", [(3, 2, 2), (4, 2, 3), (2, 3, 3),
+                                     (5, 3, 3), (2, 1, 2), (3, 2, 1)])
+def test_loop_matches_einsum_oracle_bytewise(k, nr, nt, frames, monkeypatch):
+    # The matmul loop gives the einsum loop's bits, single-antenna
+    # networks (where einsum multiplies instead) included.
+    rng = np.random.default_rng(100 * k + 10 * nr + nt + frames)
+    h = complex_normal(rng, (frames, k, k, nr, nt))
+    init = complex_normal(rng, (frames, k, nt))
+    zeros = rng.uniform(0.5, 20.0, (frames, k))
+    zeros[:, 0] = 0.0
+    zeros[::2, -1] = 0.0
+    for powers in (10.0, zeros, 1e9):
+        got = (minil_solve_batch(h, powers, 8, init, track_leakage=True),
+               maxsinr_solve_batch(h, powers, 8, init))
+        with monkeypatch.context() as m:
+            m.setattr(solvers, "_alternate", oracles.alternate)
+            want = (minil_solve_batch(h, powers, 8, init, track_leakage=True),
+                    maxsinr_solve_batch(h, powers, 8, init))
+        assert _same_bytes(got[0][1], want[0][1])
+        for a, b in ((got[0][0], want[0][0]), (got[1], want[1])):
+            for name in ("u", "v", "z", "leakage", "sinr"):
+                assert _same_bytes(getattr(a, name), getattr(b, name)), name
+
+
+@pytest.mark.parametrize("solve", [minil_solve_batch, maxsinr_solve_batch])
+def test_einsum_calls_do_not_grow_with_iterations(solve, monkeypatch):
+    # Only once-per-solve contractions may go through _einsum.
+    cfg = NetworkConfig(k_pairs=3, nt=2, nr=2, seed=3)
+    cs, inits = draw_inits(cfg, range(4))
+    calls = []
+
+    def counted(subscripts, *operands):
+        calls.append(subscripts)
+        return np.einsum(subscripts, *operands, optimize=True)
+
+    monkeypatch.setattr(solvers, "_einsum", counted)
+    counts = []
+    for iterations in (5, 50):
+        calls.clear()
+        solve(cs.h, cfg.power_p, iterations, inits[:, 0])
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
+class TestBadInput:
+    @pytest.fixture
+    def batch(self, rng):
+        return complex_normal(rng, (4, 3, 3, 2, 2)), \
+            unit(complex_normal(rng, (4, 3, 2)))
+
+    @pytest.mark.parametrize("solve", [minil_solve_batch, maxsinr_solve_batch])
+    @pytest.mark.parametrize("power", [np.nan, np.inf, -np.inf])
+    def test_non_finite_power(self, batch, solve, power):
+        h, v = batch
+        with pytest.raises(ValueError, match="powers"):
+            solve(h, power, 5, v)
+        with pytest.raises(ValueError, match="powers"):
+            solve(h, [1.0, power, 1.0], 5, v)
+
+    @pytest.mark.parametrize("solve", [minil_solve_batch, maxsinr_solve_batch])
+    @pytest.mark.parametrize("iterations", [-3, 0, 2.5, True, "5"])
+    def test_bad_iterations(self, batch, solve, iterations):
+        h, v = batch
+        with pytest.raises(ValueError, match="iterations"):
+            solve(h, 10.0, iterations, v)
+
+    def test_numpy_integer_iterations(self, batch):
+        h, v = batch
+        a = maxsinr_solve_batch(h, 10.0, np.int64(5), v)
+        b = maxsinr_solve_batch(h, 10.0, 5, v)
+        assert np.array_equal(a.v, b.v)
+
+    @pytest.mark.parametrize("solve", [minil_solve_batch, maxsinr_solve_batch])
+    def test_init_v_in_frame_last_layout(self, batch, solve):
+        h, v = batch
+        with pytest.raises(ValueError, match="init_v"):
+            solve(h, 10.0, 5, v.transpose(1, 0, 2))
+
+    @pytest.mark.parametrize("solve", [minil_solve_batch, maxsinr_solve_batch])
+    def test_init_v_with_wrong_nt(self, batch, solve, rng):
+        h, _ = batch
+        with pytest.raises(ValueError, match="init_v"):
+            solve(h, 10.0, 5, unit(complex_normal(rng, (4, 3, 3))))
+
+    @pytest.mark.parametrize("solve", [minil_solve_batch, maxsinr_solve_batch])
+    def test_non_square_channel_grid(self, batch, solve):
+        h, v = batch
+        with pytest.raises(ValueError, match="channels"):
+            solve(h[:, :, :2], 10.0, 5, v)
+        with pytest.raises(ValueError, match="channels"):
+            solve(h[0], 10.0, 5, v)
