@@ -136,7 +136,8 @@ def _alternate(h, p, iterations, v, update, trace=None):
     broadcast multiply einsum uses instead.  Each covariance
     sum_l w[k, f, l] t t^H is one (n, K) @ (K, n) product per (k, f) on
     C-contiguous copies, as einsum's reshapes make them.  The weights
-    w[k, f, l] = p[f, l], own pair zeroed, serve both directions.
+    w[k, f, l] = p[f, l], own pair zeroed, serve both directions.  The
+    einsum loop is kept as a test oracle whose bits these must match.
     """
     f, k, _, nr, nt = h.shape
     hf = h.transpose(0, 2, 4, 1, 3).reshape(f * k, nt, k * nr)
