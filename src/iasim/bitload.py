@@ -11,10 +11,6 @@ import numpy as np
 
 MAX_BITS_PER_CHANNEL = 6  # BER expressions are validated up to 64-QAM
 
-MODE_MINIL = "minil"
-MODE_MAXSINR = "maxsinr"
-MODE_SVD = "svd"
-
 
 def check_rate_budget(n_channels: int, total_rate: int):
     if total_rate < 1:

@@ -10,13 +10,13 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .network import NetworkConfig
-from .simulate import (MODE_ADAPTIVE, RUN_MODES, check_count,
-                       check_mode_config, fig1_stats, sweep)
+from .network import NetworkConfig, check_count
+from .simulate import (MODE_ADAPTIVE, MODE_MAXSINR, MODE_MINIL, MODE_SVD,
+                       RUN_MODES, check_mode_config, fig1_stats, sweep)
 
 _CONFIG_KEYS = {
     "k", "nt", "nr", "rate_per_pair", "epsilon", "snr_db", "modes",
@@ -28,6 +28,8 @@ _CSV_COLUMNS = ["experiment", "mode", "loading", "K", "nt", "nr", "snr_db",
 
 _FIG1_COLUMNS = ["experiment", "power", "avg_desired_power",
                  "avg_interference", "minil_baseline", "beamforming_power"]
+
+FIG1_POWERS = [1e0, 1e1, 1e2, 1e3, 1e4]  # linear powers of the fig1 table
 
 
 @dataclass
@@ -43,24 +45,29 @@ class Experiment:
     target_errors: int = 200
     max_bits: int = 20_000_000
     special: str | None = None  # "fig1" runs the power-statistics table
-    fig1_powers: list = field(default_factory=lambda: [1e0, 1e1, 1e2, 1e3, 1e4])
 
 
 def _parse_values(text: str) -> list:
-    """Grid syntax: scalar, comma list, or inclusive start:stop:step."""
+    """Grid syntax: scalar, comma list, or inclusive start:stop:step.
+
+    Every number must be finite.
+    """
     text = text.strip()
-    if ":" in text:
-        parts = [float(x) for x in text.split(":")]
-        if len(parts) != 3 or parts[2] <= 0:
-            raise ValueError(f"bad range syntax {text!r}, want start:stop:step")
-        start, stop, step = parts
-        out = []
-        x = start
-        while x <= stop + 1e-9:
-            out.append(round(x, 10))
-            x += step
-        return out
-    return [float(x) for x in text.split(",") if x.strip()]
+    sep = ":" if ":" in text else ","
+    values = [float(x) for x in text.split(sep) if x.strip()]
+    if not all(math.isfinite(x) for x in values):
+        raise ValueError(f"grid values must be finite, got {text!r}")
+    if sep == ",":
+        return values
+    if len(values) != 3 or values[2] <= 0:
+        raise ValueError(f"bad range syntax {text!r}, want start:stop:step")
+    start, stop, step = values
+    out = []
+    x = start
+    while x <= stop + 1e-9:
+        out.append(round(x, 10))
+        x += step
+    return out
 
 
 def parse_config(path) -> Experiment:
@@ -126,8 +133,8 @@ def parse_config(path) -> Experiment:
 def validate_experiment(exp: Experiment):
     """Feasibility checks shared by config files and presets."""
     cfg = exp.cfg
-    if not cfg.is_proper and any(m in ("minil", "maxsinr", MODE_ADAPTIVE)
-                                 for m in exp.modes):
+    if not cfg.is_proper and any(
+            m in (MODE_MINIL, MODE_MAXSINR, MODE_ADAPTIVE) for m in exp.modes):
         print(f"warning: nt + nr = {cfg.nt + cfg.nr} < K + 1 = "
               f"{cfg.k_pairs + 1}; single-stream alignment is not proper "
               "for this configuration", file=sys.stderr)
@@ -136,15 +143,18 @@ def validate_experiment(exp: Experiment):
             check_mode_config(cfg, mode, loading)
 
 
-def preset(name: str, seed: int = 0) -> Experiment:
-    """Built-in experiment definitions fig1..fig7."""
-    base = dict(power_p=1.0, rate_per_pair=2, iterations=100, seed=seed)
-    full_modes = ["minil", "maxsinr", "svd"]
+def preset(name: str) -> Experiment:
+    """Built-in experiment definitions fig1..fig7, at seed 0.
+
+    Callers that want another seed replace `cfg.seed` on the result.
+    """
+    base = dict(power_p=1.0, rate_per_pair=2, iterations=100, seed=0)
+    full_modes = [MODE_MINIL, MODE_MAXSINR, MODE_SVD]
     snr = [0, 5, 10, 15, 20, 25, 30]
     if name == "fig1":
         exp = Experiment(name=name,
                          cfg=NetworkConfig(k_pairs=3, nt=3, nr=2, **base),
-                         snr_db=[], epsilon=[0.0], modes=["maxsinr"],
+                         snr_db=[], epsilon=[0.0], modes=[MODE_MAXSINR],
                          loading=[False], special="fig1")
     elif name == "fig2":
         exp = Experiment(name=name,
@@ -192,7 +202,7 @@ def run_experiment(exp: Experiment, out_dir, workers: int = 1,
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / f"{exp.name}.csv"
     if exp.special == "fig1":
-        rows = fig1_stats(exp.cfg, exp.fig1_powers)
+        rows = fig1_stats(exp.cfg, FIG1_POWERS)
         for row in rows:
             row["experiment"] = exp.name
         columns = _FIG1_COLUMNS
@@ -242,7 +252,7 @@ def main(argv=None) -> int:
         if args.config:
             exp = parse_config(args.config)
         else:
-            exp = preset(args.preset, seed=args.seed or 0)
+            exp = preset(args.preset)
         if args.seed is not None:
             exp.cfg = replace(exp.cfg, seed=args.seed)
         if args.target_errors is not None:

@@ -36,26 +36,19 @@ class NetworkConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("k_pairs", "nt", "nr", "rate_per_pair", "iterations",
-                     "seed"):
-            value = getattr(self, name)
-            if (isinstance(value, bool)
-                    or not isinstance(value, (int, np.integer))):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("k_pairs", "nt", "nr", "rate_per_pair", "iterations"):
+            check_count(name, getattr(self, name))
+        if (isinstance(self.seed, bool)
+                or not isinstance(self.seed, (int, np.integer))
+                or self.seed < 0):
+            raise ValueError(
+                f"seed must be an integer >= 0, got {self.seed!r}")
         if not math.isfinite(self.power_p):
             raise ValueError(f"power_p must be finite, got {self.power_p}")
-        if self.k_pairs < 1 or self.nt < 1 or self.nr < 1:
-            raise ValueError("k_pairs, nt and nr must all be >= 1")
         if self.power_p <= 0:
             raise ValueError("power_p must be positive")
-        if self.rate_per_pair < 1:
-            raise ValueError("rate_per_pair must be >= 1")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon}")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
 
     @property
     def total_rate(self) -> int:

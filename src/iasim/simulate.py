@@ -18,14 +18,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import bitload
-from .bitload import (MODE_MAXSINR, MODE_MINIL, MODE_SVD,
-                      greedy_bitload_table)
+from .bitload import greedy_bitload_table
 from .modem import (BerEstimate, ber_awgn_instant, minil_avg_ber,
                     shape_for_bits, svd_avg_ber, modulate, demodulate)
 from .network import NetworkConfig, check_count, complex_normal, substream
 from .solvers import cross_gains, maxsinr_solve_batch, minil_solve_batch
 from .linalg import unit
 
+MODE_MINIL = "minil"
+MODE_MAXSINR = "maxsinr"
+MODE_SVD = "svd"
 MODE_ADAPTIVE = "adaptive"
 RUN_MODES = (MODE_MINIL, MODE_MAXSINR, MODE_SVD, MODE_ADAPTIVE)
 # Symbols per stream per frame.  A frame's data bits are one
@@ -42,7 +44,7 @@ def check_mode_config(cfg: NetworkConfig, mode: str, loading: bool):
     if mode not in RUN_MODES:
         raise ValueError(f"unknown mode {mode!r}")
     r = cfg.total_rate
-    if mode in (MODE_MINIL, MODE_MAXSINR) or mode == MODE_ADAPTIVE:
+    if mode != MODE_SVD:
         if loading or mode == MODE_ADAPTIVE:
             bitload.check_rate_budget(cfg.k_pairs, r)
         elif cfg.rate_per_pair > bitload.MAX_BITS_PER_CHANNEL:
@@ -288,13 +290,14 @@ def _stream_gains(h: np.ndarray, design: Design, rows) -> np.ndarray:
 
 
 def run_frames(cfg: NetworkConfig, mode: str, frame_indices,
-               loading: bool = False, audit: list | None = None) -> np.ndarray:
+               loading: bool = False) -> np.ndarray:
     """Simulate the given frames; returns (F, K, 2) bits/errors per pair.
 
-    The active pair of the single-pair benchmark rotates with the frame
-    index.  Counts are identical however frames are split across calls.
-    With `audit`, one row per frame records its mode, bits per stream and
-    predicted BER (NaN unloaded).
+    Entry [f, k] holds the bits pair k sent in frame f and its bit errors;
+    the bits are FRAME_USES times the bits of the streams the frame's
+    design gives pair k.  The active pair of the single-pair benchmark
+    rotates with the frame index.  Counts are identical however frames
+    are split across calls.
     """
     check_mode_config(cfg, mode, loading)
     frame_indices = [int(i) for i in frame_indices]
@@ -312,14 +315,6 @@ def run_frames(cfg: NetworkConfig, mode: str, frame_indices,
         counts = _transmit(_stream_gains(h, design, rows), design.bits[rows],
                            design.powers[rows], [rngs[i] for i in rows])
         np.add.at(out, (rows[:, None], design.pair[rows]), counts)
-    if audit is not None:
-        for i, j in enumerate(pick):
-            design = designs[j]
-            pred = (float("nan") if design.predicted is None
-                    else float(design.predicted[i]))
-            audit.append({"frame": frame_indices[i], "mode": design.mode,
-                          "bits": [int(b) for b in design.bits[i]],
-                          "predicted_ber": pred})
     return out
 
 
@@ -341,12 +336,10 @@ def estimate_ber(cfg: NetworkConfig, mode: str, snr_db: float,
     own substream.  The confidence interval is cluster-robust over
     frames, since all the bits of one frame share a channel draw.
     """
+    check_count("target_errors", target_errors)
+    check_count("max_bits", max_bits)
     check_count("chunk_frames", chunk_frames)
     check_count("workers", workers)
-    for name, value in (("target_errors", target_errors),
-                        ("max_bits", max_bits)):
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
     power = 10.0 ** (snr_db / 10.0)
     cfg = replace(cfg, power_p=power)
     check_mode_config(cfg, mode, loading)

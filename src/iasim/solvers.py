@@ -14,7 +14,6 @@ receiver k in frame f) and accept per-pair stream powers.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -74,26 +73,10 @@ def _start(channels, powers, iterations, init_v):
     return h, _as_powers(powers, f, k), unit(v)
 
 
-@lru_cache(maxsize=256)
-def _plan(subscripts: str, *shapes) -> tuple:
-    """The contraction path `optimize=True` picks for these shapes."""
-    operands = [np.broadcast_to(0.0, shape) for shape in shapes]
-    return tuple(np.einsum_path(subscripts, *operands, optimize=True)[0])
-
-
-def _einsum(subscripts: str, *operands) -> np.ndarray:
-    """np.einsum(..., optimize=True) with the path planned once per shape.
-
-    Only the once-per-solve contractions use it: `cross_gains` and the
-    K = 1 matched combiner.
-    """
-    path = _plan(subscripts, *(op.shape for op in operands))
-    return np.einsum(subscripts, *operands, optimize=path)
-
-
 def cross_gains(channels: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Effective scalar gains g[k, l] = u_k^H H_kl v_l (batched)."""
-    return _einsum("...ki,...klij,...lj->...kl", u.conj(), channels, v)
+    return np.einsum("...ki,...klij,...lj->...kl", u.conj(), channels, v,
+                     optimize=True)
 
 
 def _offdiag_power(g: np.ndarray, powers: np.ndarray) -> np.ndarray:
@@ -104,13 +87,14 @@ def _offdiag_power(g: np.ndarray, powers: np.ndarray) -> np.ndarray:
     return pw.sum(axis=-1)
 
 
-def _metrics(channels, u, v, powers, noise_power=1.0):
-    """(z, leakage, sinr) of combiners u and precoders v on `channels`."""
+def _metrics(channels, u, v, powers):
+    """(z, leakage, sinr) of combiners u and precoders v on `channels`,
+    at unit noise power."""
     g = cross_gains(channels, u, v)
     k = g.shape[-1]
     z = g[..., np.arange(k), np.arange(k)]
     leakage = _offdiag_power(g, powers)
-    sinr = powers * np.abs(z) ** 2 / (noise_power + leakage)
+    sinr = powers * np.abs(z) ** 2 / (1.0 + leakage)
     return z, leakage, sinr
 
 
@@ -191,7 +175,10 @@ def minil_solve_batch(channels: np.ndarray, powers, iterations: int,
     if h.shape[1] == 1:
         # No interferers: any combiner is leakage-optimal, so the precoder
         # stays at its initialization and the combiner is matched to it.
-        u = unit(_einsum("fkij,fkj->fki", h[:, [0], [0]], v))
+        # The leakage is zero at every iteration.
+        u = unit(np.einsum("fkij,fkj->fki", h[:, [0], [0]], v,
+                           optimize=True))
+        trace = np.zeros((iterations + 1, len(h)))
     else:
         u, v = _alternate(h, p, iterations, v, lambda q, d: min_eigvec(q),
                           trace)
@@ -218,15 +205,16 @@ def maxsinr_solve_batch(channels: np.ndarray, powers, iterations: int,
     return IaSolution(v, u, *_metrics(h, u, v, p), p)
 
 
-def evaluate_true_sinr(sol: IaSolution, true_channels, powers=None,
-                       noise_power: float = 1.0):
+def evaluate_true_sinr(sol: IaSolution, true_channels, powers=None):
     """Post-processing SINR of a designed batch on the true channels.
 
-    gamma_k = p_k |u_k^H H_kk v_k|^2 / (noise + sum_{l != k} p_l
-    |u_k^H H_kl v_l|^2).  Returns (sinr, signal_gain, interference_power).
+    gamma_k = p_k |u_k^H H_kk v_k|^2 / (1 + sum_{l != k} p_l
+    |u_k^H H_kl v_l|^2) at unit noise power, with the solution's powers
+    unless `powers` is given.  Returns (sinr, signal_gain,
+    interference_power).
     """
     h = _as_batch(true_channels)
     p = _as_powers(sol.per_channel_power if powers is None else powers,
                    *h.shape[:2])
-    z, interference, sinr = _metrics(h, sol.u, sol.v, p, noise_power)
+    z, interference, sinr = _metrics(h, sol.u, sol.v, p)
     return sinr, z, interference

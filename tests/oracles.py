@@ -9,7 +9,7 @@ import numpy as np
 
 from iasim.bitload import MAX_BITS_PER_CHANNEL, check_rate_budget
 from iasim.linalg import unit
-from iasim.solvers import _einsum, _offdiag_power, cross_gains
+from iasim.solvers import _offdiag_power, cross_gains
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
@@ -100,8 +100,8 @@ def alternate(h, p, iterations, v, update, trace=None):
     diag = np.arange(k)
 
     def combiners(v):
-        t = _einsum("fklij,flj->fkli", h, v)
-        q = _einsum("fkl,fkli,fklj->fkij", fwd, t, t.conj())
+        t = np.einsum("fklij,flj->fkli", h, v, optimize=True)
+        q = np.einsum("fkl,fkli,fklj->fkij", fwd, t, t.conj(), optimize=True)
         return update(q, t[:, diag, diag])
 
     def record(u, v):
@@ -110,8 +110,9 @@ def alternate(h, p, iterations, v, update, trace=None):
 
     for _ in range(iterations):
         u = combiners(v)
-        s = _einsum("flkij,fli->flkj", h.conj(), u)
-        qr = _einsum("flk,flki,flkj->fkij", rev, s, s.conj())
+        s = np.einsum("flkij,fli->flkj", h.conj(), u, optimize=True)
+        qr = np.einsum("flk,flki,flkj->fkij", rev, s, s.conj(),
+                       optimize=True)
         v = update(qr, s[:, diag, diag])
         record(u, v)
     u = combiners(v)

@@ -1,4 +1,5 @@
 import csv
+import re
 from pathlib import Path
 
 import pytest
@@ -85,6 +86,15 @@ class TestParseConfig:
         assert _parse_values("0:10:5") == [0.0, 5.0, 10.0]
         with pytest.raises(ValueError):
             _parse_values("0:10:0")
+
+    @pytest.mark.parametrize("text", ["0:inf:5", "0:nan:5", "-inf:0:5",
+                                      "0:10:inf", "0,5,nan", "inf"])
+    def test_non_finite_grid_rejected(self, text):
+        # Unchecked, an infinite stop grows the grid without end, a nan
+        # stop gives an empty grid, and a nan in a list fails only when
+        # its cell runs, after the output directory exists.
+        with pytest.raises(ValueError, match=re.escape(repr(text))):
+            _parse_values(text)
 
 
 class TestPresets:
@@ -178,6 +188,13 @@ class TestMain:
                    "--out", str(tmp_path / "out")])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: workers")
+        assert not (tmp_path / "out").exists()
+
+    def test_non_finite_grid_fails_before_output(self, tmp_path, capsys):
+        cfg = write(tmp_path, "snr_db = 0,5,nan\nmax_bits = 2000\n")
+        rc = main(["--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "'0,5,nan'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_missing_file_exit_code(self, tmp_path, capsys):

@@ -38,7 +38,8 @@ def test_config_validation():
 @pytest.mark.parametrize("field,value", [
     ("power_p", np.nan), ("power_p", np.inf), ("epsilon", np.nan),
     ("k_pairs", 2.5), ("k_pairs", 3.0), ("nt", 2.0), ("nr", True),
-    ("rate_per_pair", True), ("iterations", 10.5), ("seed", 1.5),
+    ("rate_per_pair", True), ("iterations", 10.5), ("nt", 0),
+    ("iterations", 0), ("seed", 1.5),
     ("seed", False), ("seed", -1),
 ])
 def test_config_rejects_bad_values(field, value):

@@ -70,14 +70,21 @@ class TestAccounting:
             for i, j in enumerate(pick):
                 assert designs[j].powers[i].sum() == pytest.approx(kp)
 
-    def test_audit_rows(self, cfg):
-        audit = []
-        run_frames(cfg, "adaptive", range(5), loading=True, audit=audit)
-        assert len(audit) == 5
-        for row in audit:
-            assert row["mode"] in ("minil", "maxsinr", "svd")
-            assert sum(row["bits"]) == cfg.total_rate
-            assert 0.0 <= row["predicted_ber"] <= 0.5
+    @pytest.mark.parametrize("mode", ["minil", "maxsinr", "svd", "adaptive"])
+    def test_counts_carry_picked_bits(self, cfg, mode):
+        # A frame's bits sent are FRAME_USES times the bits its picked
+        # design loads on each stream, credited to the stream's pair.
+        frames = range(5)
+        rngs, h_hat, _ = _sample_frames(cfg, frames)
+        active = np.array(frames) % cfg.k_pairs
+        designs, pick = _design(cfg, mode, True, rngs, h_hat, active)
+        counts = run_frames(cfg, mode, frames, loading=True)
+        for i, j in enumerate(pick):
+            d = designs[j]
+            sent = np.bincount(d.pair[i], weights=d.bits[i],
+                               minlength=cfg.k_pairs)
+            assert np.array_equal(counts[i, :, 0], FRAME_USES * sent)
+            assert 0.0 <= d.predicted[i] <= 0.5
 
 
 class TestPhysicalLimits:
@@ -144,7 +151,8 @@ class TestEstimateBer:
         with pytest.raises(ValueError, match=arg):
             estimate_ber(cfg, "minil", 10.0, **{arg: 0})
 
-    @pytest.mark.parametrize("arg", ["workers", "chunk_frames"])
+    @pytest.mark.parametrize("arg", ["workers", "chunk_frames",
+                                     "target_errors", "max_bits"])
     @pytest.mark.parametrize("value", [0, -3, True, 2.5, 4.0, "2"])
     def test_bad_worker_or_chunk_count_rejected(self, cfg, arg, value):
         with pytest.raises(ValueError, match=arg):
