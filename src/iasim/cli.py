@@ -50,7 +50,7 @@ class Experiment:
 def _parse_values(text: str) -> list:
     """Grid syntax: scalar, comma list, or inclusive start:stop:step.
 
-    Every number must be finite.
+    Every number must be finite, and a range's step must move it.
     """
     text = text.strip()
     sep = ":" if ":" in text else ","
@@ -66,6 +66,9 @@ def _parse_values(text: str) -> list:
     x = start
     while x <= stop + 1e-9:
         out.append(round(x, 10))
+        if x + step == x:
+            raise ValueError(f"range step {step:g} is below the float "
+                             f"spacing at {x:g} in {text!r}")
         x += step
     return out
 

@@ -9,10 +9,12 @@ present in the received samples; receivers equalize by the true effective
 scalar of their own stream only.
 
 Frames are independent, so any partitioning across workers reproduces
-the serial counts exactly.
+the serial counts exactly.  A sweep runs every cell's chunks on one pool
+of worker processes, opened once for the whole grid.
 """
 
 import concurrent.futures
+import contextlib
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,6 +39,7 @@ RUN_MODES = (MODE_MINIL, MODE_MAXSINR, MODE_SVD, MODE_ADAPTIVE)
 # 64-bit Philox output stays in the bit generator from call to call.
 FRAME_USES = 100
 _BLOCK_FRAMES = 25  # frames per transmit block: bounds its temporaries
+_CHUNK_FRAMES = 400  # frames between stop-rule checks
 
 
 def check_mode_config(cfg: NetworkConfig, mode: str, loading: bool):
@@ -324,36 +327,44 @@ def _run_range(args):
     return counts.sum(axis=1)
 
 
-def estimate_ber(cfg: NetworkConfig, mode: str, snr_db: float,
-                 target_errors: int = 200, max_bits: int = 20_000_000,
-                 loading: bool = False, chunk_frames: int = 400,
-                 workers: int = 1) -> BerEstimate:
-    """Accumulate frames until enough errors (or the bit cap) is reached.
-
-    Deterministic for a fixed (cfg.seed, target_errors, max_bits,
-    chunk_frames) regardless of worker count: stopping is evaluated at
-    fixed chunk boundaries and every frame's counts depend only on its
-    own substream.  The confidence interval is cluster-robust over
-    frames, since all the bits of one frame share a channel draw.
-    """
-    check_count("target_errors", target_errors)
-    check_count("max_bits", max_bits)
-    check_count("chunk_frames", chunk_frames)
-    check_count("workers", workers)
-    power = 10.0 ** (snr_db / 10.0)
-    cfg = replace(cfg, power_p=power)
+def _cell_config(cfg: NetworkConfig, mode: str, snr_db: float,
+                 loading: bool) -> NetworkConfig:
+    """cfg at the cell's SNR, checked against the mode before any frame."""
+    cfg = replace(cfg, power_p=10.0 ** (snr_db / 10.0))
     check_mode_config(cfg, mode, loading)
+    return cfg
+
+
+def _open_pool(workers: int):
+    """A pool of `workers` processes, or a context yielding None for one.
+
+    The pool class is looked up at call time, so a profiler that swaps
+    concurrent.futures.ProcessPoolExecutor sees every pool.
+    """
+    if workers == 1:
+        return contextlib.nullcontext()
+    return concurrent.futures.ProcessPoolExecutor(workers)
+
+
+def _estimate(pool, workers: int, cfg: NetworkConfig, mode: str,
+              loading: bool, target_errors: int, max_bits: int,
+              chunk_frames: int) -> BerEstimate:
+    """estimate_ber's chunk loop and stop rule, on `pool` (None: serial).
+
+    Each chunk is split into `workers` frame ranges, and the stop rule is
+    applied after the whole chunk is back.  Workers fork at the pool's
+    first submit, which is made here.
+    """
     per_frame = []
     bits = errors = 0
     start = 0
     while errors < target_errors and bits < max_bits:
         stop = start + chunk_frames
-        if workers > 1:
+        if pool is not None:
             bounds = np.linspace(start, stop, workers + 1, dtype=int)
             jobs = [(cfg, mode, int(a), int(b), loading)
                     for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
-            with concurrent.futures.ProcessPoolExecutor(workers) as pool:
-                chunk = np.vstack(list(pool.map(_run_range, jobs)))
+            chunk = np.vstack(list(pool.map(_run_range, jobs)))
         else:
             chunk = run_frames(cfg, mode, range(start, stop),
                                loading).sum(axis=1)
@@ -367,6 +378,29 @@ def estimate_ber(cfg: NetworkConfig, mode: str, snr_db: float,
     ratio_var = float((resid**2).sum() / bits**2)
     return BerEstimate(bits_sent=bits, bit_errors=errors,
                        ratio_var=ratio_var)
+
+
+def estimate_ber(cfg: NetworkConfig, mode: str, snr_db: float,
+                 target_errors: int = 200, max_bits: int = 20_000_000,
+                 loading: bool = False, chunk_frames: int = _CHUNK_FRAMES,
+                 workers: int = 1) -> BerEstimate:
+    """Accumulate frames until enough errors (or the bit cap) is reached.
+
+    Deterministic for a fixed (cfg.seed, target_errors, max_bits,
+    chunk_frames) regardless of worker count: stopping is evaluated at
+    fixed chunk boundaries and every frame's counts depend only on its
+    own substream.  With workers > 1 the chunks run on one pool opened
+    for this call.  The confidence interval is cluster-robust over
+    frames, since all the bits of one frame share a channel draw.
+    """
+    check_count("target_errors", target_errors)
+    check_count("max_bits", max_bits)
+    check_count("chunk_frames", chunk_frames)
+    check_count("workers", workers)
+    cfg = _cell_config(cfg, mode, snr_db, loading)
+    with _open_pool(workers) as pool:
+        return _estimate(pool, workers, cfg, mode, loading, target_errors,
+                         max_bits, chunk_frames)
 
 
 def fig1_stats(cfg: NetworkConfig, p_grid, frames: int = 10_000) -> list:
@@ -416,14 +450,22 @@ def analytic_ber(cfg: NetworkConfig, mode: str, snr_db: float,
 def sweep(cfg: NetworkConfig, snr_grid, eps_grid, modes, loading_flags,
           target_errors: int = 200, max_bits: int = 20_000_000,
           workers: int = 1) -> list:
-    """Cross product of settings -> one BER estimate row per cell."""
+    """Cross product of settings -> one BER estimate row per cell.
+
+    Every cell is checked before any frame runs.  With workers > 1 all
+    cells' chunks then run on one pool of `workers` processes; the
+    counts equal the serial ones.
+    """
+    check_count("target_errors", target_errors)
+    check_count("max_bits", max_bits)
+    check_count("workers", workers)
     snr_grid = list(snr_grid)
     eps_grid = list(eps_grid)
     modes = list(modes)
     loading_flags = list(loading_flags)
     if not (snr_grid and eps_grid and modes and loading_flags):
         raise ValueError("sweep grids must be nonempty")
-    rows = []
+    cells = []
     for eps in eps_grid:
         cfg_e = replace(cfg, epsilon=float(eps))
         for mode in modes:
@@ -431,23 +473,26 @@ def sweep(cfg: NetworkConfig, snr_grid, eps_grid, modes, loading_flags,
                 if mode == MODE_ADAPTIVE and not loading:
                     continue  # adaptive is defined over the loaded modes
                 for snr_db in snr_grid:
-                    est = estimate_ber(cfg_e, mode, snr_db,
-                                       target_errors=target_errors,
-                                       max_bits=max_bits, loading=loading,
-                                       workers=workers)
-                    ana = analytic_ber(cfg_e, mode, snr_db, loading)
-                    rows.append({
-                        "mode": mode,
-                        "loading": int(loading),
-                        "K": cfg.k_pairs,
-                        "nt": cfg.nt,
-                        "nr": cfg.nr,
-                        "snr_db": float(snr_db),
-                        "epsilon": float(eps),
-                        "bits": est.bits_sent,
-                        "errors": est.bit_errors,
-                        "ber": est.estimate,
-                        "ci95": est.ci95,
-                        "analytic_ber": ana,
-                    })
+                    cells.append((_cell_config(cfg_e, mode, snr_db, loading),
+                                  mode, loading, float(snr_db)))
+    rows = []
+    with _open_pool(workers) as pool:
+        for cell_cfg, mode, loading, snr_db in cells:
+            est = _estimate(pool, workers, cell_cfg, mode, loading,
+                            target_errors, max_bits, _CHUNK_FRAMES)
+            rows.append({
+                "mode": mode,
+                "loading": int(loading),
+                "K": cfg.k_pairs,
+                "nt": cfg.nt,
+                "nr": cfg.nr,
+                "snr_db": snr_db,
+                "epsilon": cell_cfg.epsilon,
+                "bits": est.bits_sent,
+                "errors": est.bit_errors,
+                "ber": est.estimate,
+                "ci95": est.ci95,
+                "analytic_ber": analytic_ber(cell_cfg, mode, snr_db,
+                                             loading),
+            })
     return rows

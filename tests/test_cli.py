@@ -1,5 +1,6 @@
 import csv
 import re
+import signal
 from pathlib import Path
 
 import pytest
@@ -95,6 +96,22 @@ class TestParseConfig:
         # its cell runs, after the output directory exists.
         with pytest.raises(ValueError, match=re.escape(repr(text))):
             _parse_values(text)
+
+    @pytest.mark.parametrize("text", ["1e17:1e17:1", "1e17:2e17:1"])
+    def test_range_step_below_float_spacing_rejected(self, text):
+        # 1e17 + 1 == 1e17, so unchecked the range appends without end;
+        # the alarm turns that into a failure instead of a hang.
+        def stuck(signum, frame):
+            raise TimeoutError(f"_parse_values({text!r}) did not return")
+
+        old = signal.signal(signal.SIGALRM, stuck)
+        signal.alarm(2)
+        try:
+            with pytest.raises(ValueError, match=re.escape(repr(text))):
+                _parse_values(text)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
 
 
 class TestPresets:

@@ -1,6 +1,10 @@
+import concurrent.futures
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from iasim import simulate
 from iasim.modem import minil_avg_ber, shape_for_bits
 from iasim.network import NetworkConfig
 from iasim.simulate import (FRAME_USES, _design, _sample_frames,
@@ -12,6 +16,30 @@ from iasim.simulate import (FRAME_USES, _design, _sample_frames,
 def cfg():
     return NetworkConfig(k_pairs=3, nt=2, nr=2, power_p=10.0,
                          rate_per_pair=2, seed=7)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The process pools built while the test runs, in order."""
+    built = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        CountingPool)
+    return built
+
+
+@pytest.fixture
+def no_frames(monkeypatch):
+    """Fail the test if any frame is simulated."""
+    def run_frames(*args, **kwargs):
+        raise AssertionError("a frame was simulated")
+
+    monkeypatch.setattr(simulate, "run_frames", run_frames)
 
 
 class TestReproducibility:
@@ -45,6 +73,16 @@ class TestReproducibility:
         b = estimate_ber(cfg, "minil", 5.0, target_errors=50,
                          max_bits=120_000, chunk_frames=100, workers=3)
         assert (a.bits_sent, a.bit_errors) == (b.bits_sent, b.bit_errors)
+
+    def test_one_pool_per_estimate(self, cfg, pools):
+        # Three 10-frame chunks of 6000 bits each, all on one pool.
+        stop = dict(target_errors=10**9, max_bits=3 * 6000, chunk_frames=10)
+        a = estimate_ber(cfg, "minil", 5.0, workers=2, **stop)
+        assert len(pools) == 1
+        b = estimate_ber(cfg, "minil", 5.0, **stop)
+        assert len(pools) == 1
+        assert a.bits_sent == b.bits_sent == 3 * 6000
+        assert (a.bit_errors, a.ratio_var) == (b.bit_errors, b.ratio_var)
 
 
 class TestAccounting:
@@ -212,6 +250,37 @@ class TestSweep:
     def test_empty_grid_rejected(self, cfg):
         with pytest.raises(ValueError):
             sweep(cfg, [], [0.0], ["minil"], [False])
+
+    def test_one_pool_per_sweep(self, pools):
+        # Two epsilons, adaptive included, two 400-frame chunks per cell.
+        cfg = NetworkConfig(k_pairs=3, nt=2, nr=2, rate_per_pair=2,
+                            iterations=5, seed=11)
+        grid = (cfg, [10.0], [0.0, 0.1], ["minil", "adaptive"], [True])
+        stop = dict(target_errors=10**9, max_bits=400 * 600 + 1)
+        serial = sweep(*grid, **stop)
+        assert pools == []
+        parallel = sweep(*grid, **stop, workers=2)
+        assert len(pools) == 1
+        assert [row["bits"] for row in serial] == [2 * 400 * 600] * 4
+        assert parallel == serial
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bad_last_cell_fails_before_any_frame(self, cfg, pools,
+                                                  no_frames, workers):
+        # SVD-SM cannot split 9 bits evenly over 2 eigenmodes.
+        bad = replace(cfg, rate_per_pair=3)
+        with pytest.raises(ValueError, match="divisible"):
+            sweep(bad, [0.0, 5.0], [0.0], ["minil", "svd"], [False],
+                  workers=workers)
+        assert pools == []
+
+    @pytest.mark.parametrize("arg", ["workers", "target_errors", "max_bits"])
+    @pytest.mark.parametrize("value", [0, -3, True, 2.5])
+    def test_bad_count_fails_before_any_frame(self, cfg, pools, no_frames,
+                                              arg, value):
+        with pytest.raises(ValueError, match=arg):
+            sweep(cfg, [0.0], [0.0], ["minil"], [False], **{arg: value})
+        assert pools == []
 
     def test_analytic_ber_helper(self, cfg):
         assert analytic_ber(cfg, "minil", 10.0, False) == pytest.approx(
