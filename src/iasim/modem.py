@@ -2,10 +2,15 @@
 
 Constellations are I x J rectangles (I >= J, both powers of two) built
 from independently Gray-coded PAM axes and normalized to unit average
-symbol energy.  The closed forms cover: exact instantaneous BER on an
-AWGN link, the Rayleigh-faded average for the aligned-network equivalent
-channel (with and without transmitter-side channel uncertainty), and the
-eigenmode-averaged BER of SVD spatial multiplexing.
+symbol energy.  Data travel as integer labels: a b-bit label's leading
+ceil(b/2) bits are the Gray code of its real-axis level and the rest that
+of its imaginary-axis level.  `modulate` maps labels to symbols,
+`demodulate` detects labels, and `bit_errors` counts the differing bits
+of two labels as the popcount of their XOR.  The closed forms cover:
+exact instantaneous BER on an AWGN link, the Rayleigh-faded average for
+the aligned-network equivalent channel (with and without
+transmitter-side channel uncertainty), and the eigenmode-averaged BER of
+SVD spatial multiplexing.
 """
 
 import math
@@ -22,7 +27,7 @@ def qfunc(x):
     return 0.5 * erfc(np.asarray(x) / np.sqrt(2.0))
 
 
-def _gray(n: int) -> int:
+def _gray(n):
     return n ^ (n >> 1)
 
 
@@ -70,68 +75,64 @@ def shape_for_bits(b: int) -> ConstellationShape:
 
 
 @lru_cache(maxsize=None)
-def _pam_tables(levels: int):
-    """(inverse-Gray, Gray) lookup tables for one PAM axis."""
-    inv = np.zeros(levels, dtype=np.int64)
-    fwd = np.zeros(levels, dtype=np.int64)
-    for lv in range(levels):
-        fwd[lv] = _gray(lv)
-        inv[_gray(lv)] = lv
-    return inv, fwd
+def _tables(shape: ConstellationShape):
+    """(symbol, label) lookup tables of a shape.
 
-
-def _bits_to_int(bits: np.ndarray) -> np.ndarray:
-    nb = bits.shape[-1]
-    weights = 1 << np.arange(nb - 1, -1, -1)
-    return bits @ weights
-
-
-def _int_to_bits(vals: np.ndarray, nb: int) -> np.ndarray:
-    shifts = np.arange(nb - 1, -1, -1)
-    return (vals[..., None] >> shifts) & 1
-
-
-def _pam_modulate(bits: np.ndarray, levels: int, d: float) -> np.ndarray:
-    inv, _ = _pam_tables(levels)
-    lv = inv[_bits_to_int(bits)]
-    return (2 * lv - levels + 1) * d
-
-
-def _pam_demodulate(x: np.ndarray, levels: int, d: float) -> np.ndarray:
-    _, fwd = _pam_tables(levels)
-    lv = np.rint((x / d + levels - 1) / 2).astype(np.int64)
-    np.clip(lv, 0, levels - 1, out=lv)
-    return fwd[lv]
-
-
-def modulate(bits, shape: ConstellationShape) -> np.ndarray:
-    """Map Gray-labeled bits to unit-energy symbols.
-
-    Accepts a single word of shape.bits bits or an (n, shape.bits) array;
-    the leading ceil(b/2) bits drive the real axis.
+    symbols[label] is the unit-energy symbol of a b-bit label; its leading
+    i_bits pick the real-axis level and the trailing j_bits the imaginary
+    one, each through the axis's inverse Gray map.  labels[i * J + j] is
+    the label of real-axis level i and imaginary-axis level j.
     """
-    bits = np.asarray(bits, dtype=np.int64)
-    single = bits.ndim == 1
-    words = bits.reshape(-1, shape.bits)
+    i_gray = _gray(np.arange(shape.i_side))
+    j_gray = _gray(np.arange(shape.j_side))
+    i_level = np.argsort(i_gray)
+    j_level = np.argsort(j_gray)
+    label = np.arange(2**shape.bits)
     d = shape.half_spacing
-    re = _pam_modulate(words[:, : shape.i_bits], shape.i_side, d)
-    if shape.j_side > 1:
-        im = _pam_modulate(words[:, shape.i_bits:], shape.j_side, d)
-    else:
-        im = np.zeros_like(re)
-    sym = re + 1j * im
-    return sym[0] if single else sym
+    re = (2 * i_level[label >> shape.j_bits] - shape.i_side + 1) * d
+    im = (2 * j_level[label & (shape.j_side - 1)] - shape.j_side + 1) * d
+    labels = (i_gray[:, None] << shape.j_bits) | j_gray[None, :]
+    return re + 1j * im, labels.ravel().astype(np.uint8)
 
 
-def demodulate(y, gain, amplitude, shape: ConstellationShape) -> np.ndarray:
+# popcount of every 6-bit value: bit errors between two labels.
+_POPCOUNT = np.array([bin(v).count("1") for v in range(64)], dtype=np.uint8)
+
+
+def bit_errors(sent, detected) -> np.ndarray:
+    """Bit errors per symbol between sent and detected labels."""
+    return _POPCOUNT[np.bitwise_xor(sent, detected)]
+
+
+def modulate(labels, shape: ConstellationShape):
+    """Map b-bit Gray labels to unit-energy symbols, elementwise.
+
+    A label's bits, most significant first, are the symbol's bits; the
+    leading ceil(b/2) drive the real axis.  Labels must be integers in
+    [0, 2**shape.bits).
+    """
+    labels = np.asarray(labels)
+    if labels.dtype.kind not in "iu":
+        raise ValueError(f"labels must be integers, not {labels.dtype}")
+    if labels.size and (labels.min() < 0 or labels.max() >= 2**shape.bits):
+        raise ValueError(f"labels must lie in [0, {2**shape.bits})")
+    return _tables(shape)[0][labels]
+
+
+def _level(x, levels: int, d: float):
+    """Nearest PAM level index of equalized coordinates x."""
+    return np.clip(np.rint((x / d + levels - 1) / 2).astype(np.int64),
+                   0, levels - 1)
+
+
+def demodulate(y, gain, amplitude, shape: ConstellationShape):
     """Nearest-neighbor detection after equalizing by gain * amplitude.
 
-    `gain` and `amplitude` may be scalars or arrays that broadcast against
-    `y` (say (M, 1) for M rows of symbols); the result has the broadcast
-    shape plus a trailing axis of shape.bits bits.  A zero gain marks the
-    stream dead: its symbols demodulate to all-zero bits, which against
-    random data count as ~50% errors.  A non-finite gain, or an amplitude
-    that is not finite and positive, is rejected.
+    Returns the detected Gray labels, shaped like `y` broadcast against
+    `gain` and `amplitude` (say (M, 1) for M rows of symbols).  A zero
+    gain marks the stream dead: its symbols demodulate to label 0, which
+    against random data counts as ~50% bit errors.  A non-finite sample
+    or gain, or an amplitude that is not finite and positive, is rejected.
     """
     y = np.asarray(y, dtype=complex)
     gain = np.asarray(gain)
@@ -140,19 +141,16 @@ def demodulate(y, gain, amplitude, shape: ConstellationShape) -> np.ndarray:
         raise ValueError("amplitude must be finite and positive")
     if not np.all(np.isfinite(gain)):
         raise ValueError("gain must be finite")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("y must be finite")
     dead = gain == 0
     x = y / np.where(dead, 1.0, gain * amplitude)
-    single = x.ndim == 0
-    x = np.atleast_1d(x)
-    lab_i = _pam_demodulate(x.real, shape.i_side, shape.half_spacing)
-    bits = [_int_to_bits(lab_i, shape.i_bits)]
+    d = shape.half_spacing
+    level = _level(x.real, shape.i_side, d)
     if shape.j_side > 1:
-        lab_j = _pam_demodulate(x.imag, shape.j_side, shape.half_spacing)
-        bits.append(_int_to_bits(lab_j, shape.j_bits))
-    out = np.concatenate(bits, axis=-1)
-    if np.any(dead):
-        out[np.broadcast_to(dead, x.shape)] = 0
-    return out[0] if single else out
+        level = level * shape.j_side + _level(x.imag, shape.j_side, d)
+    labels = _tables(shape)[1][level]
+    return np.where(dead, 0, labels) if np.any(dead) else labels
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,8 @@ import numpy as np
 from . import bitload
 from .bitload import greedy_bitload_table
 from .modem import (BerEstimate, ber_awgn_instant, minil_avg_ber,
-                    shape_for_bits, svd_avg_ber, modulate, demodulate)
+                    shape_for_bits, svd_avg_ber, bit_errors, modulate,
+                    demodulate)
 from .network import NetworkConfig, check_count, complex_normal, substream
 from .solvers import cross_gains, maxsinr_solve_batch, minil_solve_batch
 from .linalg import unit
@@ -32,12 +33,15 @@ MODE_MAXSINR = "maxsinr"
 MODE_SVD = "svd"
 MODE_ADAPTIVE = "adaptive"
 RUN_MODES = (MODE_MINIL, MODE_MAXSINR, MODE_SVD, MODE_ADAPTIVE)
-# Symbols per stream per frame.  A frame's data bits are one
-# integers(0, 2, FRAME_USES * sum(bits)) draw, cut into its streams.  That
-# equals one draw per stream for any FRAME_USES, odd products included:
-# each bit takes one 32-bit word, never rejected, and the spare half of a
-# 64-bit Philox output stays in the bit generator from call to call.
+# Symbols per stream per frame.  A frame's data bits are the bits of one
+# integers(0, 2, FRAME_USES * sum(bits)) draw, cut into its streams.  For
+# range 1, numpy's Lemire draw returns the top bit of a 32-bit word and
+# never rejects one, and each 64-bit Philox output gives two words, low
+# half first.  So the top bits of random_raw(n // 2)'s halves are those
+# bits, and leave the generator where integers would, for even n.
 FRAME_USES = 100
+if FRAME_USES % 2:
+    raise ImportError("FRAME_USES must be even for the raw-word data draw")
 _BLOCK_FRAMES = 25  # frames per transmit block: bounds its temporaries
 _CHUNK_FRAMES = 400  # frames between stop-rule checks
 
@@ -76,10 +80,11 @@ def _transmit(gains: np.ndarray, bits: np.ndarray, powers: np.ndarray,
     gains[f, i, j] (F, n, n) couples transmit stream j into receive stream
     i of frame f; bits and powers are (F, n).  Returns (F, n, 2) bits sent
     and bit errors per stream.  Each frame's own rngs[f] makes two calls:
-    one integers(0, 2) draw of FRAME_USES * sum(bits[f]) data bits, cut
-    into the streams in index order (a 0-bit stream takes none), then one
-    (n, FRAME_USES) complex_normal noise block.  Frames go through in
-    blocks of _BLOCK_FRAMES to bound the temporaries.
+    FRAME_USES * sum(bits[f]) data bits, as integers(0, 2) would draw
+    them (see FRAME_USES), cut into the streams in index order (a 0-bit
+    stream takes none), then one (n, FRAME_USES) complex_normal noise
+    block.  Frames go through in blocks of _BLOCK_FRAMES to bound the
+    temporaries.
     """
     counts = np.zeros(bits.shape + (2,), dtype=np.int64)
     for lo in range(0, len(rngs), _BLOCK_FRAMES):
@@ -89,6 +94,25 @@ def _transmit(gains: np.ndarray, bits: np.ndarray, powers: np.ndarray,
     return counts
 
 
+def _draw_bits(rngs, totals) -> np.ndarray:
+    """totals[f] data bits from each rngs[f], concatenated, as uint8.
+
+    Byte 3 of each little-endian 32-bit half holds its top bit.
+    """
+    raw = np.concatenate([rng.bit_generator.random_raw(total // 2)
+                          for rng, total in zip(rngs, totals)])
+    return raw.astype("<u8", copy=False).view(np.uint8)[3::4] >> 7
+
+
+def _pack(data: np.ndarray) -> np.ndarray:
+    """Labels of (..., b) bits, most significant bit first."""
+    labels = data[..., 0].copy()
+    for k in range(1, data.shape[-1]):
+        labels <<= 1
+        labels |= data[..., k]
+    return labels
+
+
 def _transmit_block(gains, bits, powers, rngs) -> np.ndarray:
     """One block of _transmit: per-frame draws, then one modulate and one
     demodulate call per bit count and one stacked channel product."""
@@ -96,19 +120,22 @@ def _transmit_block(gains, bits, powers, rngs) -> np.ndarray:
     loads = [int(b) for b in np.unique(bits) if b > 0]
     # Streams carrying b bits, frame-major: the order the draws visit them.
     streams = {b: np.nonzero(bits == b) for b in loads}
-    drawn = np.concatenate([rng.integers(0, 2, FRAME_USES * total)
-                            for rng, total in zip(rngs, bits.sum(axis=1))])
+    drawn = _draw_bits(rngs, FRAME_USES * bits.sum(axis=1))
     # Stream (f, s) takes FRAME_USES * bits[f, s] bits from its offset.
     start = FRAME_USES * (np.cumsum(bits) - bits.ravel()).reshape(f, n)
-    data = {b: drawn[start[streams[b]][:, None] + np.arange(FRAME_USES * b)]
-            .reshape(-1, FRAME_USES, b) for b in loads}
+    sent = {}
+    x = np.zeros((f, n, FRAME_USES), dtype=complex)
+    for b in loads:
+        if len(streams[b][0]) == bits.size:  # every stream carries b bits
+            data = drawn.reshape(-1, FRAME_USES, b)
+        else:
+            data = drawn[start[streams[b]][:, None]
+                         + np.arange(FRAME_USES * b)].reshape(-1, FRAME_USES, b)
+        sent[b] = _pack(data)
+        x[streams[b]] = modulate(sent[b], shape_for_bits(b))
     noise = complex_normal(rngs, (n, FRAME_USES))
 
     amps = np.sqrt(powers)
-    x = np.zeros((f, n, FRAME_USES), dtype=complex)
-    for b in loads:
-        x[streams[b]] = modulate(data[b].reshape(-1, b),
-                                 shape_for_bits(b)).reshape(-1, FRAME_USES)
     r = gains @ (amps[..., None] * x) + noise
 
     counts = np.zeros((f, n, 2), dtype=np.int64)
@@ -117,7 +144,7 @@ def _transmit_block(gains, bits, powers, rngs) -> np.ndarray:
         rx = demodulate(r[fr, st], gains[fr, st, st][:, None],
                         amps[fr, st][:, None], shape_for_bits(b))
         counts[fr, st, 0] = FRAME_USES * b
-        counts[fr, st, 1] = (rx != data[b]).sum(axis=(1, 2))
+        counts[fr, st, 1] = bit_errors(sent[b], rx).sum(axis=1)
     return counts
 
 

@@ -37,7 +37,7 @@ def _constellation(b: int):
     """
     shape = shape_for_bits(b)
     words = np.array(list(itertools.product((0, 1), repeat=b)))
-    syms = modulate(words, shape)
+    syms = modulate(np.arange(2**b), shape)  # words[w] is the bits of w
     d = shape.half_spacing
     axes = []
     for part, levels, cols in (

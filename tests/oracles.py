@@ -47,6 +47,18 @@ def draw_inits(cfg, rngs, n: int) -> np.ndarray:
     return inits
 
 
+def bits_to_labels(bits) -> np.ndarray:
+    """Labels of (..., b) bit words, most significant bit first."""
+    bits = np.asarray(bits)
+    b = bits.shape[-1]
+    return bits @ (1 << np.arange(b - 1, -1, -1))
+
+
+def labels_to_bits(labels, b: int) -> np.ndarray:
+    """(..., b) bit words of b-bit labels, most significant bit first."""
+    return (np.asarray(labels)[..., None] >> np.arange(b - 1, -1, -1)) & 1
+
+
 def greedy_bitload(ber_of, n_channels: int, total_rate: int) -> np.ndarray:
     """Allocate total_rate bits greedily over n_channels channels.
 

@@ -2,9 +2,10 @@
 
 `substream` derives a batch's Philox keys in one vectorised pass and
 `complex_normal` fills a batch with one call per generator; the engine's
-`_sample_frames` and `_draw_inits` make one batch call per draw kind.  All
-of them must give exactly the draws of the frame-by-frame references in
-`oracles`, and leave every frame's generator in the same state.
+`_sample_frames` and `_draw_inits` make one batch call per draw kind, and
+`_draw_bits` takes data bits from raw Philox words.  All of them must give
+exactly the draws of the frame-by-frame references in `oracles` (or of
+`integers(0, 2, n)`), and leave every frame's generator in the same state.
 """
 
 import numpy as np
@@ -13,7 +14,8 @@ import pytest
 import oracles
 from iasim.network import (NetworkConfig, _philox_keys, _PhiloxKey,
                            complex_normal, substream)
-from iasim.simulate import FRAME_USES, _draw_inits, _sample_frames
+from iasim.simulate import (FRAME_USES, _draw_bits, _draw_inits,
+                             _sample_frames)
 
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**127 + 11, 2**128 + 5,
          2**200 + 7]
@@ -35,6 +37,15 @@ def philox_state(rng):
 
 def assert_same_state(rngs, refs):
     assert [philox_state(r) for r in rngs] == [philox_state(r) for r in refs]
+
+
+def assert_same_live_state(rngs, refs):
+    # As assert_same_state, but without the 32-bit half that integers
+    # leaves behind after using it: no draw reads it once has_uint32 is 0.
+    def live(rng):
+        state = philox_state(rng)
+        return state if state[4] else state[:5]
+    assert [live(r) for r in rngs] == [live(r) for r in refs]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -123,3 +134,37 @@ def test_fused_data_draw_matches_per_stream_draws(bits, uses):
                            for b in bits])
     assert np.array_equal(got, want)
     assert np.array_equal(fused.standard_normal(5), split.standard_normal(5))
+
+
+@pytest.mark.parametrize("n", [2, 32, 100, 600, 1202])
+def test_raw_word_draw_matches_integers(n):
+    # The top bit of each 32-bit half of random_raw(n // 2) is integers(0,
+    # 2, n)'s bit, and the generator is left where integers leaves it.
+    indices = [0, 9, 2**32 + 1, 2**64 + 7, 12345]
+    rngs = substream(6, indices)
+    refs = [oracles.substream(6, i) for i in indices]
+    got = _draw_bits(rngs, [n] * len(rngs))
+    want = np.concatenate([ref.integers(0, 2, n) for ref in refs])
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, want)
+    assert_same_live_state(rngs, refs)
+    for rng, ref in zip(rngs, refs, strict=True):
+        assert np.array_equal(rng.integers(0, 2, 3), ref.integers(0, 2, 3))
+        assert np.array_equal(rng.standard_normal(5), ref.standard_normal(5))
+
+
+def test_raw_word_draw_after_normal_draws():
+    # In the engine the data draw follows the channel and init draws, which
+    # leave no 32-bit half buffered; frames of different sizes share one
+    # call.
+    totals = [FRAME_USES * b for b in (6, 2, 0, 9, 24)]
+    rngs = substream(4, range(len(totals)))
+    refs = [oracles.substream(4, i) for i in range(len(totals))]
+    complex_normal(rngs, (3, 2))
+    for ref in refs:
+        oracles.complex_normal(ref, (3, 2))
+    got = _draw_bits(rngs, totals)
+    want = np.concatenate([ref.integers(0, 2, t)
+                           for ref, t in zip(refs, totals)])
+    assert np.array_equal(got, want)
+    assert_same_live_state(rngs, refs)

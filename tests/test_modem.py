@@ -1,19 +1,15 @@
-import itertools
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import oracles
 from iasim.modem import (BerEstimate, ConstellationShape, ber_awgn_instant,
-                         demodulate, minil_avg_ber,
+                         bit_errors, demodulate, minil_avg_ber,
                          modulate, qfunc, shape_for_bits, svd_avg_ber,
                          _eigensum_coeffs, _q_gamma_moment)
 from iasim.network import complex_normal
-
-
-def all_words(b):
-    return np.array(list(itertools.product([0, 1], repeat=b)))
 
 
 class TestShapes:
@@ -39,7 +35,7 @@ class TestShapes:
     @pytest.mark.parametrize("b", range(1, 7))
     def test_unit_average_energy_exact(self, b):
         sh = shape_for_bits(b)
-        sym = modulate(all_words(b), sh)
+        sym = modulate(np.arange(2**b), sh)
         assert np.mean(np.abs(sym) ** 2) == pytest.approx(1.0, rel=1e-12)
 
 
@@ -47,43 +43,64 @@ class TestModulateDemodulate:
     @pytest.mark.parametrize("b", range(1, 7))
     def test_round_trip_noiseless(self, b, rng):
         sh = shape_for_bits(b)
-        bits = rng.integers(0, 2, (500, b))
+        labels = rng.integers(0, 2**b, 500)
         gain = 1.7 * np.exp(1j * 0.9)
-        y = modulate(bits, sh) * gain * 2.5
-        assert np.array_equal(demodulate(y, gain, 2.5, sh), bits)
+        y = modulate(labels, sh) * gain * 2.5
+        assert np.array_equal(demodulate(y, gain, 2.5, sh), labels)
 
-    def test_single_word_shape(self, rng):
+    @pytest.mark.parametrize("b", range(1, 7))
+    def test_round_trip_exhaustive(self, b):
+        sh = shape_for_bits(b)
+        labels = np.arange(2**b)
+        for dtype in (np.uint8, np.int64):
+            back = demodulate(modulate(labels.astype(dtype), sh), 1.0, 1.0, sh)
+            assert np.array_equal(back, labels)
+
+    @pytest.mark.parametrize("b", range(1, 7))
+    def test_label_bits_are_axis_gray_codes(self, b):
+        # The leading ceil(b/2) bits of a label are the Gray code of its
+        # real-axis level, the trailing ones that of its imaginary level.
+        sh = shape_for_bits(b)
+        labels = np.arange(2**b)
+        sym = modulate(labels, sh)
+        d = sh.half_spacing
+        lv_i = np.rint((sym.real / d + sh.i_side - 1) / 2).astype(int)
+        lv_j = np.rint((sym.imag / d + sh.j_side - 1) / 2).astype(int)
+        assert np.array_equal(labels >> sh.j_bits, lv_i ^ (lv_i >> 1))
+        assert np.array_equal(labels & (sh.j_side - 1), lv_j ^ (lv_j >> 1))
+
+    def test_single_word_shape(self):
         sh = shape_for_bits(3)
-        bits = np.array([1, 0, 1])
-        y = modulate(bits, sh)
+        y = modulate(5, sh)
         assert np.ndim(y) == 0
-        assert np.array_equal(demodulate(y, 1.0, 1.0, sh), bits)
+        assert demodulate(y, 1.0, 1.0, sh) == 5
 
     def test_bpsk_phase_equalized(self):
         sh = shape_for_bits(1)
         for theta in (0.0, 0.4, 2.1, -2.8):
             g = np.exp(1j * theta)
-            bits = np.array([[0], [1]])
-            y = modulate(bits, sh) * g
-            assert np.array_equal(demodulate(y, g, 1.0, sh), bits)
+            labels = np.array([0, 1])
+            y = modulate(labels, sh) * g
+            assert np.array_equal(demodulate(y, g, 1.0, sh), labels)
 
     def test_dead_stream_outputs_fixed_bits(self, rng):
         sh = shape_for_bits(2)
         y = complex_normal(rng, 100)
         out = demodulate(y, 0.0, 1.0, sh)
         assert np.all(out == 0)
+        assert demodulate(y[0], 0.0, 1.0, sh) == 0
 
     @pytest.mark.parametrize("b", range(1, 7))
     def test_per_row_gain_and_amplitude(self, b, rng):
         # Row m equalizes by its own gain and amplitude, exactly as a
-        # one-row call does; a row of gain 0 is dead and reads all zeros.
+        # one-row call does; a row of gain 0 is dead and reads label 0.
         sh = shape_for_bits(b)
         gain = complex_normal(rng, (5, 1))
         gain[2] = 0.0
         amp = rng.uniform(0.5, 3.0, (5, 1))
         y = complex_normal(rng, (5, 40)) * 3.0
         out = demodulate(y, gain, amp, sh)
-        assert out.shape == (5, 40, b)
+        assert out.shape == (5, 40)
         for m in range(5):
             assert np.array_equal(out[m],
                                   demodulate(y[m], gain[m, 0], amp[m, 0], sh))
@@ -102,17 +119,53 @@ class TestModulateDemodulate:
         with pytest.raises(ValueError, match="gain"):
             demodulate(np.ones(2), gain, 1.0, shape_for_bits(2))
 
+    @pytest.mark.parametrize("y", [[float("nan"), float("inf")],
+                                   complex(0, float("nan")),
+                                   [1.0, -float("inf")],
+                                   [[0.5], [complex(float("inf"), 1.0)]]])
+    @pytest.mark.parametrize("gain", [1.0, 0.0])
+    def test_nonfinite_samples_rejected(self, y, gain):
+        with pytest.raises(ValueError, match="y"):
+            demodulate(y, gain, 1.0, shape_for_bits(2))
+
+    @pytest.mark.parametrize("labels", [-1, [0, -1], 4, [3, 4], [0, 64],
+                                        2**40])
+    def test_out_of_range_labels_rejected(self, labels):
+        with pytest.raises(ValueError, match="labels must lie in"):
+            modulate(labels, shape_for_bits(2))
+
+    @pytest.mark.parametrize("labels", [0.7, 1.0, [0.0, 1.0], True,
+                                        [1 + 0j], "1"])
+    def test_non_integer_labels_rejected(self, labels):
+        with pytest.raises(ValueError, match="labels must be integers"):
+            modulate(labels, shape_for_bits(2))
+
     @pytest.mark.parametrize("b", range(1, 7))
     def test_gray_adjacency_exhaustive(self, b):
         # Nearest-neighbor symbol pairs differ in exactly one bit.
         sh = shape_for_bits(b)
-        words = all_words(b)
-        sym = modulate(words, sh)
+        labels = np.arange(2**b)
+        sym = modulate(labels, sh)
         d2 = np.abs(sym[:, None] - sym[None, :]) ** 2
         np.fill_diagonal(d2, np.inf)
         dmin = d2.min()
-        for i, j in zip(*np.where(np.isclose(d2, dmin))):
-            assert np.sum(words[i] != words[j]) == 1
+        i, j = np.nonzero(np.isclose(d2, dmin))
+        assert i.size >= 2**b
+        assert np.all(bit_errors(labels[i], labels[j]) == 1)
+
+    @pytest.mark.parametrize("b", range(1, 7))
+    def test_bit_errors_match_bitwise_comparison(self, b):
+        # For every (sent, detected) label pair the popcount count equals
+        # the number of differing bits of the two words.
+        labels = np.arange(2**b)
+        sent, detected = np.meshgrid(labels, labels, indexing="ij")
+        words = oracles.labels_to_bits(labels, b)
+        want = (words[:, None] != words[None, :]).sum(axis=-1)
+        assert np.array_equal(bit_errors(sent, detected), want)
+        assert np.array_equal(
+            bit_errors(sent.astype(np.uint8), detected.astype(np.uint8)),
+            want)
+        assert np.array_equal(oracles.bits_to_labels(words), labels)
 
 
 class TestBerAwgnInstant:
@@ -132,10 +185,11 @@ class TestBerAwgnInstant:
         sh = shape_for_bits(b)
         r = np.random.default_rng(1000 + b)
         n = 200_000
-        bits = r.integers(0, 2, (n, b))
-        x = modulate(bits, sh) * math.sqrt(snr)
+        labels = oracles.bits_to_labels(r.integers(0, 2, (n, b)))
+        x = modulate(labels, sh) * math.sqrt(snr)
         y = x + (r.standard_normal(n) + 1j * r.standard_normal(n)) / math.sqrt(2)
-        mc = np.mean(demodulate(y, 1.0, math.sqrt(snr), sh) != bits)
+        back = demodulate(y, 1.0, math.sqrt(snr), sh)
+        mc = bit_errors(labels, back).sum() / (n * b)
         cf = ber_awgn_instant(sh, snr)
         se = math.sqrt(cf * (1 - cf) / (n * b))
         assert abs(mc - cf) <= 3 * se
@@ -264,11 +318,12 @@ class TestSvdAvgBer:
             g = u.conj().swapaxes(1, 2) @ h @ vh.conj().swapaxes(1, 2)
             for f in range(10_000):
                 bits = rng.integers(0, 2, (n, uses, 2))
-                x = np.stack([modulate(bits[i], sh) for i in range(n)])
+                labels = oracles.bits_to_labels(bits)
+                x = np.stack([modulate(labels[i], sh) for i in range(n)])
                 y = g[f] @ (math.sqrt(kp / n) * x) + complex_normal(rng, (n, uses))
                 for i in range(n):
                     back = demodulate(y[i], g[f, i, i], math.sqrt(kp / n), sh)
-                    errors += np.sum(back != bits[i])
+                    errors += bit_errors(labels[i], back).sum()
                     total += bits[i].size
         mc = errors / total
         cf = svd_avg_ber(sh, kp, n, n, eps)

@@ -1,10 +1,12 @@
 """The batched transmit path against a frame-by-frame reference.
 
-`transmit_frame` is the scalar oracle: it sends one frame with one data
-draw, one modulate and one demodulate call per stream.
-`simulate._transmit` sends a whole batch in blocks, with one data draw
-per frame, and must give exactly the same counts, and leave every frame's
-substream in the same state, whatever the batch size.
+`transmit_frame` is the scalar oracle: it sends one frame with one
+integers(0, 2) data draw, one modulate and one demodulate call per
+stream, and counts errors by comparing bit arrays.  `simulate._transmit`
+sends a whole batch in blocks, with one raw-word data draw per frame and
+popcount error counts on Gray labels, and must give exactly the same
+counts, and leave every frame's substream in the same state, whatever
+the batch size.
 """
 
 import tracemalloc
@@ -33,7 +35,7 @@ def transmit_frame(gains, bits_per_ch, powers, rng):
         b = int(bits_per_ch[i])
         if b > 0:
             data = rng.integers(0, 2, size=(FRAME_USES, b))
-            x[i] = modulate(data, shape_for_bits(b))
+            x[i] = modulate(oracles.bits_to_labels(data), shape_for_bits(b))
         else:
             data = None
         tx_bits.append(data)
@@ -49,7 +51,8 @@ def transmit_frame(gains, bits_per_ch, powers, rng):
         g = gains[i, i]
         rx = demodulate(r[i], g if abs(g) > 0 else 0.0, float(amps[i]),
                         shape_for_bits(b))
-        counts[i] = FRAME_USES * b, int(np.sum(rx != tx_bits[i]))
+        rx_bits = oracles.labels_to_bits(rx, b)
+        counts[i] = FRAME_USES * b, int(np.sum(rx_bits != tx_bits[i]))
     return counts
 
 
@@ -92,13 +95,24 @@ def test_mixed_loads_in_one_batch():
     assert np.all(got[bits == 0] == 0)
 
 
+@pytest.mark.parametrize("b", [1, 3, 6])
+def test_uniform_load_batch(b):
+    # Every stream carrying the same bit count takes the block's draws
+    # without a gather; the counts must not change.
+    gains, bits, powers = _batch(_BLOCK_FRAMES + 3)
+    bits[:] = b
+    got = _assert_matches_oracle(gains, bits, 2.0 * bits)
+    assert got[..., 1].sum() > 0
+
+
 def test_zero_gain_stream_is_dead():
     gains, bits, powers = _batch(60)
     bits[bits == 0] = 2
     powers = 2.0 * bits
     gains[::3, 1, 1] = 0.0
     got = _assert_matches_oracle(gains, bits, powers)
-    # A dead stream sees all-zero bits: about half its bits are in error.
+    # A dead stream detects label 0, all-zero bits: about half its bits
+    # are in error.
     dead = got[::3, 1]
     assert 0.4 < dead[:, 1].sum() / dead[:, 0].sum() < 0.6
 
