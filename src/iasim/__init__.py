@@ -4,14 +4,14 @@ from .network import NetworkConfig, substream
 from .solvers import (IaSolution, evaluate_true_sinr, maxsinr_solve_batch,
                       minil_solve_batch)
 from .modem import (BerEstimate, ConstellationShape, ber_awgn_instant,
-                    bit_errors, demodulate, minil_avg_ber, modulate,
-                    shape_for_bits, svd_avg_ber)
+                    demodulate, minil_avg_ber, modulate, shape_for_bits,
+                    svd_avg_ber)
 from .simulate import estimate_ber, fig1_stats, run_frames, sweep
 
 __all__ = [
     "BerEstimate", "ConstellationShape", "IaSolution", "NetworkConfig",
-    "ber_awgn_instant", "bit_errors", "demodulate", "estimate_ber",
-    "evaluate_true_sinr", "fig1_stats", "maxsinr_solve_batch", "minil_avg_ber",
+    "ber_awgn_instant", "demodulate", "estimate_ber", "evaluate_true_sinr",
+    "fig1_stats", "maxsinr_solve_batch", "minil_avg_ber",
     "minil_solve_batch", "modulate", "run_frames",
     "shape_for_bits", "substream", "svd_avg_ber", "sweep",
 ]

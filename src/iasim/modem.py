@@ -81,8 +81,12 @@ def _tables(shape: ConstellationShape):
     symbols[label] is the unit-energy symbol of a b-bit label; its leading
     i_bits pick the real-axis level and the trailing j_bits the imaginary
     one, each through the axis's inverse Gray map.  labels[i * J + j] is
-    the label of real-axis level i and imaginary-axis level j.
+    the label of real-axis level i and imaginary-axis level j.  Labels
+    are uint8 and bit_errors counts 6 bits, so shapes beyond 64-QAM are
+    rejected.
     """
+    if shape.bits > 6:
+        raise ValueError("shapes beyond 64-QAM are not supported")
     i_gray = _gray(np.arange(shape.i_side))
     j_gray = _gray(np.arange(shape.j_side))
     i_level = np.argsort(i_gray)
@@ -100,7 +104,7 @@ _POPCOUNT = np.array([bin(v).count("1") for v in range(64)], dtype=np.uint8)
 
 
 def bit_errors(sent, detected) -> np.ndarray:
-    """Bit errors per symbol between sent and detected labels."""
+    """Bit errors per symbol between sent and detected labels in [0, 64)."""
     return _POPCOUNT[np.bitwise_xor(sent, detected)]
 
 
@@ -109,14 +113,15 @@ def modulate(labels, shape: ConstellationShape):
 
     A label's bits, most significant first, are the symbol's bits; the
     leading ceil(b/2) drive the real axis.  Labels must be integers in
-    [0, 2**shape.bits).
+    [0, 2**shape.bits), and the shape at most 64-QAM.
     """
+    symbols = _tables(shape)[0]
     labels = np.asarray(labels)
     if labels.dtype.kind not in "iu":
         raise ValueError(f"labels must be integers, not {labels.dtype}")
     if labels.size and (labels.min() < 0 or labels.max() >= 2**shape.bits):
         raise ValueError(f"labels must lie in [0, {2**shape.bits})")
-    return _tables(shape)[0][labels]
+    return symbols[labels]
 
 
 def _level(x, levels: int, d: float):
@@ -132,8 +137,10 @@ def demodulate(y, gain, amplitude, shape: ConstellationShape):
     `gain` and `amplitude` (say (M, 1) for M rows of symbols).  A zero
     gain marks the stream dead: its symbols demodulate to label 0, which
     against random data counts as ~50% bit errors.  A non-finite sample
-    or gain, or an amplitude that is not finite and positive, is rejected.
+    or gain, an amplitude that is not finite and positive, or a shape
+    beyond 64-QAM is rejected.
     """
+    labels = _tables(shape)[1]
     y = np.asarray(y, dtype=complex)
     gain = np.asarray(gain)
     amplitude = np.asarray(amplitude, dtype=float)
@@ -149,8 +156,8 @@ def demodulate(y, gain, amplitude, shape: ConstellationShape):
     level = _level(x.real, shape.i_side, d)
     if shape.j_side > 1:
         level = level * shape.j_side + _level(x.imag, shape.j_side, d)
-    labels = _tables(shape)[1][level]
-    return np.where(dead, 0, labels) if np.any(dead) else labels
+    detected = labels[level]
+    return np.where(dead, 0, detected) if np.any(dead) else detected
 
 
 # ---------------------------------------------------------------------------

@@ -126,12 +126,8 @@ def _transmit_block(gains, bits, powers, rngs) -> np.ndarray:
     sent = {}
     x = np.zeros((f, n, FRAME_USES), dtype=complex)
     for b in loads:
-        if len(streams[b][0]) == bits.size:  # every stream carries b bits
-            data = drawn.reshape(-1, FRAME_USES, b)
-        else:
-            data = drawn[start[streams[b]][:, None]
-                         + np.arange(FRAME_USES * b)].reshape(-1, FRAME_USES, b)
-        sent[b] = _pack(data)
+        data = drawn[start[streams[b]][:, None] + np.arange(FRAME_USES * b)]
+        sent[b] = _pack(data.reshape(-1, FRAME_USES, b))
         x[streams[b]] = modulate(sent[b], shape_for_bits(b))
     noise = complex_normal(rngs, (n, FRAME_USES))
 

@@ -140,6 +140,17 @@ class TestModulateDemodulate:
         with pytest.raises(ValueError, match="labels must be integers"):
             modulate(labels, shape_for_bits(2))
 
+    @pytest.mark.parametrize("shape", [ConstellationShape(16, 8),
+                                       ConstellationShape(16, 16),
+                                       ConstellationShape(32, 16)])
+    def test_shapes_beyond_64qam_rejected(self, shape):
+        # Labels are uint8 and bit_errors counts 6 bits: a 7-bit or wider
+        # shape would wrap labels or index past the popcount table.
+        with pytest.raises(ValueError, match="64-QAM"):
+            modulate([0, 1], shape)
+        with pytest.raises(ValueError, match="64-QAM"):
+            demodulate(np.ones(2), 1.0, 1.0, shape)
+
     @pytest.mark.parametrize("b", range(1, 7))
     def test_gray_adjacency_exhaustive(self, b):
         # Nearest-neighbor symbol pairs differ in exactly one bit.

@@ -97,8 +97,8 @@ def test_mixed_loads_in_one_batch():
 
 @pytest.mark.parametrize("b", [1, 3, 6])
 def test_uniform_load_batch(b):
-    # Every stream carrying the same bit count takes the block's draws
-    # without a gather; the counts must not change.
+    # Every stream carries the same bit count, so the block's draws are
+    # cut into equal consecutive slices.
     gains, bits, powers = _batch(_BLOCK_FRAMES + 3)
     bits[:] = b
     got = _assert_matches_oracle(gains, bits, 2.0 * bits)
