@@ -9,7 +9,7 @@ bit error probabilities; the procedure terminates after exactly R steps.
 
 import numpy as np
 
-MAX_BITS_PER_CHANNEL = 6  # BER expressions are validated up to 64-QAM
+from .modem import MAX_BITS as MAX_BITS_PER_CHANNEL
 
 
 def check_rate_budget(n_channels: int, total_rate: int):

@@ -76,14 +76,19 @@ def min_eigvec(a: np.ndarray) -> np.ndarray:
 
 
 def solve_posdef(b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Solve b y = x for stacked positive-definite b and stacked vectors x."""
+    """Solve b y = x for stacked positive-definite b and stacked vectors x.
+
+    The 2x2 closed form holds for b = I + Q, Q Hermitian PSD: it clamps
+    det b to its bound tr b - 1, which cancellation can cross at large Q.
+    """
     b = np.asarray(b)
     x = np.asarray(x)
     if b.shape[-1] == 2:
         b00 = b[..., 0, 0]
         b01 = b[..., 0, 1]
         b11 = b[..., 1, 1]
-        det = b00.real * b11.real - np.abs(b01) ** 2
+        det = np.maximum(b00.real * b11.real - np.abs(b01) ** 2,
+                         b00.real + b11.real - 1)
         y0 = (b11 * x[..., 0] - b01 * x[..., 1]) / det
         y1 = (b00 * x[..., 1] - b01.conj() * x[..., 0]) / det
         return np.stack([y0, y1], axis=-1)

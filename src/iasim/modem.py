@@ -22,6 +22,9 @@ from scipy.integrate import quad
 from scipy.special import erfc
 
 
+MAX_BITS = 6  # widest shape, 64-QAM: uint8 labels, validated BER forms
+
+
 def qfunc(x):
     """Gaussian tail probability Q(x)."""
     return 0.5 * erfc(np.asarray(x) / np.sqrt(2.0))
@@ -69,8 +72,8 @@ def shape_for_bits(b: int) -> ConstellationShape:
     """Squarest I x J rectangle for b bits (I = 2^ceil(b/2), J = 2^floor(b/2))."""
     if b < 1:
         raise ValueError("bit count must be >= 1")
-    if b > 6:
-        raise ValueError("shapes beyond 64-QAM are not supported")
+    if b > MAX_BITS:
+        raise ValueError(f"shapes beyond {2**MAX_BITS}-QAM are not supported")
     return ConstellationShape(2 ** math.ceil(b / 2), 2 ** math.floor(b / 2))
 
 
@@ -81,12 +84,11 @@ def _tables(shape: ConstellationShape):
     symbols[label] is the unit-energy symbol of a b-bit label; its leading
     i_bits pick the real-axis level and the trailing j_bits the imaginary
     one, each through the axis's inverse Gray map.  labels[i * J + j] is
-    the label of real-axis level i and imaginary-axis level j.  Labels
-    are uint8 and bit_errors counts 6 bits, so shapes beyond 64-QAM are
-    rejected.
+    the label of real-axis level i and imaginary-axis level j.  Shapes
+    wider than MAX_BITS are rejected.
     """
-    if shape.bits > 6:
-        raise ValueError("shapes beyond 64-QAM are not supported")
+    if shape.bits > MAX_BITS:
+        raise ValueError(f"shapes beyond {2**MAX_BITS}-QAM are not supported")
     i_gray = _gray(np.arange(shape.i_side))
     j_gray = _gray(np.arange(shape.j_side))
     i_level = np.argsort(i_gray)
@@ -99,12 +101,12 @@ def _tables(shape: ConstellationShape):
     return re + 1j * im, labels.ravel().astype(np.uint8)
 
 
-# popcount of every 6-bit value: bit errors between two labels.
-_POPCOUNT = np.array([bin(v).count("1") for v in range(64)], dtype=np.uint8)
+# popcount of every label value: bit errors between two labels.
+_POPCOUNT = np.uint8([bin(v).count("1") for v in range(2**MAX_BITS)])
 
 
 def bit_errors(sent, detected) -> np.ndarray:
-    """Bit errors per symbol between sent and detected labels in [0, 64)."""
+    """Bit errors per symbol between sent and detected MAX_BITS labels."""
     return _POPCOUNT[np.bitwise_xor(sent, detected)]
 
 
@@ -125,9 +127,10 @@ def modulate(labels, shape: ConstellationShape):
 
 
 def _level(x, levels: int, d: float):
-    """Nearest PAM level index of equalized coordinates x."""
-    return np.clip(np.rint((x / d + levels - 1) / 2).astype(np.int64),
-                   0, levels - 1)
+    """Nearest PAM level index of equalized coordinates x, clipped to the
+    edges before the integer cast (NaN, from 0/0, goes to level 0)."""
+    z = np.fmin(np.fmax((x / d + levels - 1) / 2, 0), levels - 1)
+    return np.rint(z).astype(np.int64)
 
 
 def demodulate(y, gain, amplitude, shape: ConstellationShape):

@@ -109,54 +109,39 @@ def _alternate(h, p, iterations, v, update, trace=None):
     When `trace` is a list, the per-frame total leakage is appended after
     every iteration and after the final pass.
 
-    The loop runs the batched matmuls that `np.einsum(optimize=True)`
-    plans for its four contractions, on the operand layouts einsum
-    builds, so it gives einsum's bits.  The two channel layouts do not
-    change between iterations, so they are built once per solve:
+    The two channel layouts are built once per solve:
     hf[(f, l), j, (k, i)] = H_kl[i, j] and hr[(f, l), i, (k, j)] =
-    conj(H_lk[i, j]).  A half-step's products t[f, l, k] = H_kl v_l and
-    s[f, l, k] = H_lk^H u_l are then one row-times-matrix product per
-    (f, l), or, when the contracted antenna axis has size 1, the
-    broadcast multiply einsum uses instead.  Each covariance
-    sum_l w[k, f, l] t t^H is one (n, K) @ (K, n) product per (k, f) on
-    C-contiguous copies, as einsum's reshapes make them.  The weights
-    w[k, f, l] = p[f, l], own pair zeroed, serve both directions.  The
-    einsum loop is kept as a test oracle whose bits these must match.
+    conj(H_lk[i, j]), so a half-step's signals t[f, l, k] = H_kl v_l and
+    s[f, l, k] = H_lk^H u_l are one row-times-matrix product per (f, l).
+    Node k's covariance sum_l w[f, l, k] t t^H, with w[f, l, k] = p[f, l]
+    and the own pair zeroed, is summed elementwise over l: as a matmul
+    it would cost one BLAS call per tiny matrix.
     """
     f, k, _, nr, nt = h.shape
     hf = h.transpose(0, 2, 4, 1, 3).reshape(f * k, nt, k * nr)
     hr = h.conj().transpose(0, 1, 3, 2, 4).reshape(f * k, nr, k * nt)
     diag = np.arange(k)
-    w = np.broadcast_to(p, (k, f, k)).copy()
-    w[diag, :, diag] = 0.0
+    w = np.broadcast_to(p[:, :, None], (f, k, k)).copy()
+    w[:, diag, diag] = 0.0
 
-    def product(x, layout):
-        """y[f, l, k] = layout[(f, l)]^T x[f, l], as (F, K, K, n)."""
-        m = layout.shape[1]
-        if m == 1:
-            y = x.reshape(f, k, 1, 1) * layout.reshape(f, k, k, -1)
-        else:
-            y = x.reshape(f * k, 1, m) @ layout
-        return y.reshape(f, k, k, -1)
-
-    def update_from(t):
-        """New vectors from t[f, l, k], the signal of source l at node k."""
-        n = t.shape[-1]
-        tk = t.transpose(2, 0, 1, 3)
-        a = (tk * w[..., None]).swapaxes(-1, -2).reshape(k * f, n, k)
-        q = a @ tk.conj().reshape(k * f, k, n)
-        return update(q.reshape(k, f, n, n).transpose(1, 0, 2, 3),
-                      t[:, diag, diag])
+    def update_from(x, layout):
+        """New vectors from x's signals t[f, l, k] at every node k."""
+        t = (x.reshape(f * k, 1, -1) @ layout).reshape(f, k, k, -1)
+        wt = w[..., None] * t
+        tc = t.conj()
+        q = sum(wt[:, l, :, :, None] * tc[:, l, :, None, :]
+                for l in range(k))
+        return update(q, t[:, diag, diag])
 
     def record(u, v):
         if trace is not None:
             trace.append(_offdiag_power(cross_gains(h, u, v), p).sum(axis=-1))
 
     for _ in range(iterations):
-        u = update_from(product(v, hf))
-        v = update_from(product(u, hr))
+        u = update_from(v, hf)
+        v = update_from(u, hr)
         record(u, v)
-    u = update_from(product(v, hf))
+    u = update_from(v, hf)
     record(u, v)
     return u, v
 

@@ -1,8 +1,9 @@
 """Reference versions of the engine's batched layers.
 
 Each function here is the frame-by-frame (or channel-by-channel, or
-einsum) form that a function in the package must match exactly; the
-tests compare the two.  None of them runs in the engine.
+einsum) form of a function in the package; the tests compare the two.
+The package matches them exactly, except the solver loop, which matches
+`alternate` to within rounding.  None of them runs in the engine.
 """
 
 import numpy as np
@@ -91,6 +92,10 @@ def greedy_bitload(ber_of, n_channels: int, total_rate: int) -> np.ndarray:
 
 def alternate(h, p, iterations, v, update, trace=None):
     """The reciprocity loop of `solvers._alternate`, with einsum contractions.
+
+    The package's loop sums in another order, so its designs agree with
+    these to within rounding, not bit for bit; error counts are held by
+    the benchmark's fingerprint instead.
 
     Each iteration sets every combiner from its forward interference
     covariance, then every precoder from its covariance in the reciprocal

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from iasim.linalg import min_eigvec, solve_posdef, unit
 
@@ -50,6 +51,19 @@ def test_solve_posdef_matches_lapack(rng):
         x = rng.standard_normal((300, n)) + 1j * rng.standard_normal((300, n))
         y = solve_posdef(a, x)
         assert np.allclose(np.einsum("fij,fj->fi", a, y), x, atol=1e-9)
+
+
+@pytest.mark.parametrize("power", [1e12, 1e15, 1e18])
+def test_solve_posdef_2x2_identity_plus_strong_rank_one(rng, power):
+    # b = I + P a a^H has determinant 1 + P |a|^2, but the computed
+    # b00 b11 - |b01|^2 cancels, to zero or below, in some frames.  The
+    # solution must stay finite, and x^H b^-1 x positive.
+    a = rng.standard_normal((200, 2)) + 1j * rng.standard_normal((200, 2))
+    x = rng.standard_normal((200, 2)) + 1j * rng.standard_normal((200, 2))
+    b = np.eye(2) + power * a[:, :, None] * a[:, None, :].conj()
+    y = solve_posdef(b, x)
+    assert np.isfinite(y).all()
+    assert np.all(np.einsum("fi,fi->f", x.conj(), y).real > 0)
 
 
 def test_unit_norms(rng):

@@ -8,7 +8,7 @@ import oracles
 from iasim.modem import (BerEstimate, ConstellationShape, ber_awgn_instant,
                          bit_errors, demodulate, minil_avg_ber,
                          modulate, qfunc, shape_for_bits, svd_avg_ber,
-                         _eigensum_coeffs, _q_gamma_moment)
+                         _eigensum_coeffs, _q_gamma_moment, _tables)
 from iasim.network import complex_normal
 
 
@@ -106,6 +106,51 @@ class TestModulateDemodulate:
                                   demodulate(y[m], gain[m, 0], amp[m, 0], sh))
         assert np.all(out[2] == 0)
         assert np.any(out[[0, 1, 3, 4]] != 0)
+
+    @staticmethod
+    def _corner(y, sh):
+        """Label of the corner symbol in the quadrant of each sample."""
+        y = np.asarray(y)
+        return demodulate(10 * (np.sign(y.real) + 1j * np.sign(y.imag)),
+                          1.0, 1.0, sh)
+
+    @pytest.mark.parametrize("b", range(1, 7))
+    def test_huge_coordinates_decode_to_nearest_edge(self, b):
+        sh = shape_for_bits(b)
+        y = 1e30 * np.array([1 + 1j, -1 - 1j, 1 - 1j, -1 + 1j])
+        assert np.array_equal(demodulate(y, 1.0, 1.0, sh),
+                              self._corner(y, sh))
+        if b == 2:
+            assert demodulate([1e30 + 1e30j], 1.0, 1.0, sh)[0] == 3
+
+    @pytest.mark.parametrize("b", range(1, 7))
+    def test_underflowed_equalizer_decodes_to_nearest_edge(self, b):
+        # gain * amplitude underflows to 0, so y divides to +-inf.
+        sh = shape_for_bits(b)
+        y = np.array([0.5 + 2j, -1 - 0.1j, 3 - 1j, -0.2 + 0.7j])
+        with np.errstate(divide="ignore", over="ignore"):
+            got = demodulate(y, 1e-300, 1e-10, sh)
+        assert np.array_equal(got, self._corner(y, sh))
+
+    @pytest.mark.parametrize("b", range(1, 7))
+    def test_levels_unchanged_within_int64(self, b, rng):
+        # Clipping before the cast decides every coordinate that fits in
+        # int64 as casting first did, so error counts cannot move.
+        sh = shape_for_bits(b)
+        x = np.concatenate([rng.uniform(-3, 3, 2000),
+                            rng.uniform(-1e15, 1e15, 200),
+                            np.arange(-8, 8.5, 0.5) * sh.half_spacing])
+        y = x[:, None] + 1j * x[None, ::7]
+        labels = _tables(sh)[1]
+
+        def old_level(v, levels):
+            z = (v / sh.half_spacing + levels - 1) / 2
+            return np.clip(np.rint(z).astype(np.int64), 0, levels - 1)
+
+        level = old_level(y.real, sh.i_side)
+        if sh.j_side > 1:
+            level = level * sh.j_side + old_level(y.imag, sh.j_side)
+        assert np.array_equal(demodulate(y, 1.0, 1.0, sh), labels[level])
 
     @pytest.mark.parametrize("amplitude", [float("nan"), float("inf"), 0.0,
                                            -1.0, [1.0, float("nan")]])

@@ -162,13 +162,35 @@ class TestPhysicalLimits:
             run_frames(cfg, "zf", range(1))
 
     @pytest.mark.parametrize("loading", [False, True])
-    def test_nonfinite_design_rejected(self, loading):
-        # At 150 dB the 2x2 Max-SINR solve overflows in 10 of these 200
-        # frames; they must not be demodulated into a plausible BER.
-        cfg = NetworkConfig(k_pairs=3, nt=2, nr=2, power_p=1e15, seed=0)
-        with np.errstate(all="ignore"), pytest.raises(
-                ValueError, match="maxsinr design is non-finite in 10 of 200"):
+    def test_nonfinite_design_rejected(self, loading, monkeypatch):
+        # A design with non-finite vectors must not be demodulated into a
+        # plausible BER.  The stub breaks three frames of the design the
+        # run transmits on: the only solve when unloaded, the re-design
+        # under the loaded (F, K) powers when loaded.
+        solve = simulate.maxsinr_solve_batch
+
+        def broken(h, powers, iterations, init_v):
+            sol = solve(h, powers, iterations, init_v)
+            if not loading or np.ndim(powers) == 2:
+                sol.u[3, 0] = np.nan
+                sol.v[[17, 150], 1] = np.inf
+            return sol
+
+        monkeypatch.setattr(simulate, "maxsinr_solve_batch", broken)
+        cfg = NetworkConfig(k_pairs=3, nt=2, nr=2, power_p=10.0, seed=0)
+        with pytest.raises(
+                ValueError, match="maxsinr design is non-finite in 3 of 200"):
             run_frames(cfg, "maxsinr", range(200), loading=loading)
+
+    @pytest.mark.parametrize("power", [1e12, 1e15, 1e18])
+    @pytest.mark.parametrize("mode,loading", [("maxsinr", False),
+                                              ("adaptive", True)])
+    def test_max_sinr_finite_at_high_power(self, mode, loading, power):
+        # run_frames raises on a non-finite design; the 2x2 closed-form
+        # solve used to lose its determinant to cancellation here.
+        cfg = NetworkConfig(k_pairs=3, nt=2, nr=2, power_p=power, seed=0)
+        counts = run_frames(cfg, mode, range(200), loading=loading)
+        assert counts.shape[0] == 200
 
 
 class TestEstimateBer:

@@ -260,16 +260,15 @@ def test_powers_enter_solution():
     assert np.allclose(sol.leakage[:, 0], leak0, rtol=1e-10)
 
 
-def _same_bytes(a, b):
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
 @pytest.mark.parametrize("frames", [1, 25, 400])
 @pytest.mark.parametrize("k,nr,nt", [(3, 2, 2), (4, 2, 3), (2, 3, 3),
                                      (5, 3, 3), (2, 1, 2), (3, 2, 1)])
-def test_loop_matches_einsum_oracle_bytewise(k, nr, nt, frames, monkeypatch):
-    # The matmul loop gives the einsum loop's bits, single-antenna
-    # networks (where einsum multiplies instead) included.
+def test_loop_matches_einsum_oracle(k, nr, nt, frames, monkeypatch):
+    # The loop is the einsum loop to within rounding, single-antenna
+    # networks included.  Vectors are compared absolutely; leakage and
+    # SINR scale with the power, so their tolerance does too.  At P = 1e9
+    # a Max-SINR frame of the (4, 2, 3) batch amplifies rounding to
+    # about 1.5e-10 over the 8 iterations, in each summation order tried.
     rng = np.random.default_rng(100 * k + 10 * nr + nt + frames)
     h = complex_normal(rng, (frames, k, k, nr, nt))
     init = complex_normal(rng, (frames, k, nt))
@@ -283,10 +282,16 @@ def test_loop_matches_einsum_oracle_bytewise(k, nr, nt, frames, monkeypatch):
             m.setattr(solvers, "_alternate", oracles.alternate)
             want = (minil_solve_batch(h, powers, 8, init, track_leakage=True),
                     maxsinr_solve_batch(h, powers, 8, init))
-        assert _same_bytes(got[0][1], want[0][1])
+        scaled = 1e-10 * (1.0 + np.max(powers))
+        np.testing.assert_allclose(got[0][1], want[0][1], rtol=0,
+                                   atol=scaled)
         for a, b in ((got[0][0], want[0][0]), (got[1], want[1])):
-            for name in ("u", "v", "z", "leakage", "sinr"):
-                assert _same_bytes(getattr(a, name), getattr(b, name)), name
+            for name in ("u", "v", "z"):
+                np.testing.assert_allclose(getattr(a, name), getattr(b, name),
+                                           rtol=0, atol=1e-9, err_msg=name)
+            for name in ("leakage", "sinr"):
+                np.testing.assert_allclose(getattr(a, name), getattr(b, name),
+                                           rtol=0, atol=scaled, err_msg=name)
 
 
 @pytest.mark.parametrize("solve", [minil_solve_batch, maxsinr_solve_batch])
