@@ -9,16 +9,16 @@ bit error probabilities; the procedure terminates after exactly R steps.
 
 import numpy as np
 
-from .modem import MAX_BITS as MAX_BITS_PER_CHANNEL
+from .modem import MAX_BITS
 
 
 def check_rate_budget(n_channels: int, total_rate: int):
     if total_rate < 1:
         raise ValueError("total rate must be >= 1")
-    if total_rate > n_channels * MAX_BITS_PER_CHANNEL:
+    if total_rate > n_channels * MAX_BITS:
         raise ValueError(
             f"rate {total_rate} over {n_channels} channels would force "
-            f"constellations beyond {2**MAX_BITS_PER_CHANNEL}-QAM")
+            f"constellations beyond {2**MAX_BITS}-QAM")
 
 
 def greedy_bitload_table(ber_table: np.ndarray, total_rate: int) -> np.ndarray:
@@ -32,7 +32,7 @@ def greedy_bitload_table(ber_table: np.ndarray, total_rate: int) -> np.ndarray:
     """
     f, n, maxb = ber_table.shape
     check_rate_budget(n, total_rate)
-    if maxb < min(total_rate, MAX_BITS_PER_CHANNEL):
+    if maxb < min(total_rate, MAX_BITS):
         raise ValueError("ber_table does not cover enough bit levels")
     if not np.all(np.isfinite(ber_table)):
         raise ValueError("ber_table contains non-finite entries")
@@ -44,7 +44,7 @@ def greedy_bitload_table(ber_table: np.ndarray, total_rate: int) -> np.ndarray:
         cand_p = np.take_along_axis(ber_table, nxt[..., None] - 1,
                                     axis=2)[..., 0]
         cand = contrib.sum(axis=1, keepdims=True) - contrib + cand_p * nxt
-        cand = np.where(bits >= MAX_BITS_PER_CHANNEL, np.inf, cand)
+        cand = np.where(bits >= MAX_BITS, np.inf, cand)
         best = np.argmin(cand, axis=1)
         bits[rows, best] += 1
         contrib[rows, best] = (

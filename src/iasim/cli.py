@@ -146,53 +146,34 @@ def validate_experiment(exp: Experiment):
             check_mode_config(cfg, mode, loading)
 
 
+_SNR = [0, 5, 10, 15, 20, 25, 30]
+_EPS = [0.0, 0.01, 0.05, 0.1, 0.2, 0.3, 0.5]
+_FULL = [MODE_MINIL, MODE_MAXSINR, MODE_SVD]
+# name: ((K, nt, nr), snr_db, epsilon, modes, loading, special)
+_PRESETS = {
+    "fig1": ((3, 3, 2), [], [0.0], [MODE_MAXSINR], [False], "fig1"),
+    "fig2": ((3, 2, 2), _SNR, [0.0, 0.05, 0.1], _FULL, [False], None),
+    "fig3": ((3, 3, 2), _SNR, [0.0, 0.05, 0.1], _FULL, [False], None),
+    "fig4": ((4, 3, 2), _SNR, [0.0, 0.05, 0.1], _FULL, [False], None),
+    "fig5": ((3, 2, 2), [20.0], _EPS, _FULL, [False], None),
+    "fig6": ((3, 2, 2), _SNR, [0.0], _FULL + [MODE_ADAPTIVE], [True], None),
+    "fig7": ((3, 2, 2), [15.0], _EPS, _FULL + [MODE_ADAPTIVE], [True], None),
+}
+
+
 def preset(name: str) -> Experiment:
     """Built-in experiment definitions fig1..fig7, at seed 0.
 
     Callers that want another seed replace `cfg.seed` on the result.
     """
-    base = dict(power_p=1.0, rate_per_pair=2, iterations=100, seed=0)
-    full_modes = [MODE_MINIL, MODE_MAXSINR, MODE_SVD]
-    snr = [0, 5, 10, 15, 20, 25, 30]
-    if name == "fig1":
-        exp = Experiment(name=name,
-                         cfg=NetworkConfig(k_pairs=3, nt=3, nr=2, **base),
-                         snr_db=[], epsilon=[0.0], modes=[MODE_MAXSINR],
-                         loading=[False], special="fig1")
-    elif name == "fig2":
-        exp = Experiment(name=name,
-                         cfg=NetworkConfig(k_pairs=3, nt=2, nr=2, **base),
-                         snr_db=snr, epsilon=[0.0, 0.05, 0.1],
-                         modes=full_modes, loading=[False])
-    elif name == "fig3":
-        exp = Experiment(name=name,
-                         cfg=NetworkConfig(k_pairs=3, nt=3, nr=2, **base),
-                         snr_db=snr, epsilon=[0.0, 0.05, 0.1],
-                         modes=full_modes, loading=[False])
-    elif name == "fig4":
-        exp = Experiment(name=name,
-                         cfg=NetworkConfig(k_pairs=4, nt=3, nr=2, **base),
-                         snr_db=snr, epsilon=[0.0, 0.05, 0.1],
-                         modes=full_modes, loading=[False])
-    elif name == "fig5":
-        exp = Experiment(name=name,
-                         cfg=NetworkConfig(k_pairs=3, nt=2, nr=2, **base),
-                         snr_db=[20.0],
-                         epsilon=[0.0, 0.01, 0.05, 0.1, 0.2, 0.3, 0.5],
-                         modes=full_modes, loading=[False])
-    elif name == "fig6":
-        exp = Experiment(name=name,
-                         cfg=NetworkConfig(k_pairs=3, nt=2, nr=2, **base),
-                         snr_db=snr, epsilon=[0.0],
-                         modes=full_modes + [MODE_ADAPTIVE], loading=[True])
-    elif name == "fig7":
-        exp = Experiment(name=name,
-                         cfg=NetworkConfig(k_pairs=3, nt=2, nr=2, **base),
-                         snr_db=[15.0],
-                         epsilon=[0.0, 0.01, 0.05, 0.1, 0.2, 0.3, 0.5],
-                         modes=full_modes + [MODE_ADAPTIVE], loading=[True])
-    else:
+    if name not in _PRESETS:
         raise ValueError(f"unknown preset {name!r} (fig1..fig7)")
+    (k, nt, nr), snr_db, epsilon, modes, loading, special = _PRESETS[name]
+    cfg = NetworkConfig(k_pairs=k, nt=nt, nr=nr, power_p=1.0,
+                        rate_per_pair=2, iterations=100, seed=0)
+    exp = Experiment(name=name, cfg=cfg, snr_db=list(snr_db),
+                     epsilon=list(epsilon), modes=list(modes),
+                     loading=list(loading), special=special)
     validate_experiment(exp)
     return exp
 

@@ -1,16 +1,17 @@
 """Gray-coded rectangular QAM and closed-form error-rate expressions.
 
-Constellations are I x J rectangles (I >= J, both powers of two) built
-from independently Gray-coded PAM axes and normalized to unit average
-symbol energy.  Data travel as integer labels: a b-bit label's leading
-ceil(b/2) bits are the Gray code of its real-axis level and the rest that
-of its imaginary-axis level.  `modulate` maps labels to symbols,
-`demodulate` detects labels, and `bit_errors` counts the differing bits
-of two labels as the popcount of their XOR.  The closed forms cover:
-exact instantaneous BER on an AWGN link, the Rayleigh-faded average for
-the aligned-network equivalent channel (with and without
-transmitter-side channel uncertainty), and the eigenmode-averaged BER of
-SVD spatial multiplexing.
+A constellation is its bit count b, 1 <= b <= MAX_BITS: every function
+here takes b and uses the squarest rectangle, I = 2^ceil(b/2) by
+J = 2^floor(b/2) levels, built from independently Gray-coded PAM axes
+and normalized to unit average symbol energy.  Data travel as integer
+labels: a b-bit label's leading ceil(b/2) bits are the Gray code of its
+real-axis level and the rest that of its imaginary-axis level.
+`modulate` maps labels to symbols, `demodulate` detects labels, and
+`bit_errors` counts the differing bits of two labels as the popcount of
+their XOR.  The closed forms cover: exact instantaneous BER on an AWGN
+link, the Rayleigh-faded average for the aligned-network equivalent
+channel (with and without transmitter-side channel uncertainty), and the
+eigenmode-averaged BER of SVD spatial multiplexing.
 """
 
 import math
@@ -22,7 +23,7 @@ from scipy.integrate import quad
 from scipy.special import erfc
 
 
-MAX_BITS = 6  # widest shape, 64-QAM: uint8 labels, validated BER forms
+MAX_BITS = 6  # 64-QAM: uint8 labels, validated BER forms
 
 
 def qfunc(x):
@@ -34,70 +35,45 @@ def _gray(n):
     return n ^ (n >> 1)
 
 
-@dataclass(frozen=True)
-class ConstellationShape:
-    """Rectangular QAM geometry with unit average symbol energy."""
+def _geometry(b) -> tuple[int, int, float]:
+    """(I, J, d) of the b-bit constellation.
 
-    i_side: int
-    j_side: int
-
-    def __post_init__(self):
-        for side in (self.i_side, self.j_side):
-            if side < 1 or side & (side - 1):
-                raise ValueError("constellation sides must be powers of two")
-        if self.i_side < self.j_side:
-            raise ValueError("expected i_side >= j_side")
-        if self.i_side * self.j_side < 2:
-            raise ValueError("constellation must carry at least one bit")
-
-    @property
-    def bits(self) -> int:
-        return int(math.log2(self.i_side * self.j_side))
-
-    @property
-    def half_spacing(self) -> float:
-        """PAM half-spacing giving unit average symbol energy."""
-        return math.sqrt(3.0 / (self.i_side**2 + self.j_side**2 - 2))
-
-    @property
-    def i_bits(self) -> int:
-        return int(math.log2(self.i_side))
-
-    @property
-    def j_bits(self) -> int:
-        return int(math.log2(self.j_side))
+    I = 2^ceil(b/2) real-axis and J = 2^floor(b/2) imaginary-axis levels,
+    the squarest rectangle, at PAM half-spacing d for unit average symbol
+    energy.  The one check of b: an integer in [1, MAX_BITS]; bool and
+    float are rejected, numpy integers accepted.
+    """
+    if (isinstance(b, bool) or not isinstance(b, (int, np.integer))
+            or not 1 <= b <= MAX_BITS):
+        raise ValueError(f"bit count must be an integer in [1, {MAX_BITS}] "
+                         f"(up to {2**MAX_BITS}-QAM), got {b!r}")
+    b = int(b)
+    i_side, j_side = 2 ** ((b + 1) // 2), 2 ** (b // 2)
+    return i_side, j_side, math.sqrt(3.0 / (i_side**2 + j_side**2 - 2))
 
 
-def shape_for_bits(b: int) -> ConstellationShape:
-    """Squarest I x J rectangle for b bits (I = 2^ceil(b/2), J = 2^floor(b/2))."""
-    if b < 1:
-        raise ValueError("bit count must be >= 1")
-    if b > MAX_BITS:
-        raise ValueError(f"shapes beyond {2**MAX_BITS}-QAM are not supported")
-    return ConstellationShape(2 ** math.ceil(b / 2), 2 ** math.floor(b / 2))
-
-
-@lru_cache(maxsize=None)
-def _tables(shape: ConstellationShape):
-    """(symbol, label) lookup tables of a shape.
+# typed: a cached numpy integer's key also matches a bool or float of
+# equal value, which must reach _geometry's check instead.
+@lru_cache(maxsize=None, typed=True)
+def _tables(b):
+    """(symbol, label) lookup tables of the b-bit constellation.
 
     symbols[label] is the unit-energy symbol of a b-bit label; its leading
-    i_bits pick the real-axis level and the trailing j_bits the imaginary
-    one, each through the axis's inverse Gray map.  labels[i * J + j] is
-    the label of real-axis level i and imaginary-axis level j.  Shapes
-    wider than MAX_BITS are rejected.
+    ceil(b/2) bits pick the real-axis level and the trailing floor(b/2)
+    the imaginary one, each through the axis's inverse Gray map.
+    labels[i * J + j] is the label of real-axis level i and imaginary-axis
+    level j.
     """
-    if shape.bits > MAX_BITS:
-        raise ValueError(f"shapes beyond {2**MAX_BITS}-QAM are not supported")
-    i_gray = _gray(np.arange(shape.i_side))
-    j_gray = _gray(np.arange(shape.j_side))
+    i_side, j_side, d = _geometry(b)
+    j_bits = int(b) // 2
+    i_gray = _gray(np.arange(i_side))
+    j_gray = _gray(np.arange(j_side))
     i_level = np.argsort(i_gray)
     j_level = np.argsort(j_gray)
-    label = np.arange(2**shape.bits)
-    d = shape.half_spacing
-    re = (2 * i_level[label >> shape.j_bits] - shape.i_side + 1) * d
-    im = (2 * j_level[label & (shape.j_side - 1)] - shape.j_side + 1) * d
-    labels = (i_gray[:, None] << shape.j_bits) | j_gray[None, :]
+    label = np.arange(i_side * j_side)
+    re = (2 * i_level[label >> j_bits] - i_side + 1) * d
+    im = (2 * j_level[label & (j_side - 1)] - j_side + 1) * d
+    labels = (i_gray[:, None] << j_bits) | j_gray[None, :]
     return re + 1j * im, labels.ravel().astype(np.uint8)
 
 
@@ -110,19 +86,19 @@ def bit_errors(sent, detected) -> np.ndarray:
     return _POPCOUNT[np.bitwise_xor(sent, detected)]
 
 
-def modulate(labels, shape: ConstellationShape):
+def modulate(labels, b):
     """Map b-bit Gray labels to unit-energy symbols, elementwise.
 
     A label's bits, most significant first, are the symbol's bits; the
     leading ceil(b/2) drive the real axis.  Labels must be integers in
-    [0, 2**shape.bits), and the shape at most 64-QAM.
+    [0, 2**b), and b at most MAX_BITS.
     """
-    symbols = _tables(shape)[0]
+    symbols = _tables(b)[0]
     labels = np.asarray(labels)
     if labels.dtype.kind not in "iu":
         raise ValueError(f"labels must be integers, not {labels.dtype}")
-    if labels.size and (labels.min() < 0 or labels.max() >= 2**shape.bits):
-        raise ValueError(f"labels must lie in [0, {2**shape.bits})")
+    if labels.size and (labels.min() < 0 or labels.max() >= len(symbols)):
+        raise ValueError(f"labels must lie in [0, {len(symbols)})")
     return symbols[labels]
 
 
@@ -133,17 +109,18 @@ def _level(x, levels: int, d: float):
     return np.rint(z).astype(np.int64)
 
 
-def demodulate(y, gain, amplitude, shape: ConstellationShape):
+def demodulate(y, gain, amplitude, b):
     """Nearest-neighbor detection after equalizing by gain * amplitude.
 
     Returns the detected Gray labels, shaped like `y` broadcast against
     `gain` and `amplitude` (say (M, 1) for M rows of symbols).  A zero
     gain marks the stream dead: its symbols demodulate to label 0, which
     against random data counts as ~50% bit errors.  A non-finite sample
-    or gain, an amplitude that is not finite and positive, or a shape
-    beyond 64-QAM is rejected.
+    or gain, an amplitude that is not finite and positive, or a b beyond
+    MAX_BITS is rejected.
     """
-    labels = _tables(shape)[1]
+    i_side, j_side, d = _geometry(b)
+    labels = _tables(b)[1]
     y = np.asarray(y, dtype=complex)
     gain = np.asarray(gain)
     amplitude = np.asarray(amplitude, dtype=float)
@@ -155,10 +132,9 @@ def demodulate(y, gain, amplitude, shape: ConstellationShape):
         raise ValueError("y must be finite")
     dead = gain == 0
     x = y / np.where(dead, 1.0, gain * amplitude)
-    d = shape.half_spacing
-    level = _level(x.real, shape.i_side, d)
-    if shape.j_side > 1:
-        level = level * shape.j_side + _level(x.imag, shape.j_side, d)
+    level = _level(x.real, i_side, d)
+    if j_side > 1:
+        level = level * j_side + _level(x.imag, j_side, d)
     detected = labels[level]
     return np.where(dead, 0, detected) if np.any(dead) else detected
 
@@ -167,14 +143,16 @@ def demodulate(y, gain, amplitude, shape: ConstellationShape):
 # Closed-form error rates
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _qam_terms(i_side: int, j_side: int):
-    """Signed per-axis weight table of the exact rectangular-QAM BER.
+@lru_cache(maxsize=None, typed=True)
+def _qam_terms(b):
+    """Signed per-axis weight table of the exact b-bit QAM BER.
 
-    Returns (weights, squares) so that the instantaneous BER is
-    (1/b) * sum_t w_t * Q(sqrt(6 * sq_t * snr / (I^2 + J^2 - 2))),
-    where sq_t = (2i+1)^2 runs over the decision-distance multiples.
+    Returns (weights, squares, denom) so that the instantaneous BER is
+    (1/b) * sum_t w_t * Q(sqrt(6 * sq_t * snr / denom)), where
+    denom = I^2 + J^2 - 2 and sq_t = (2i+1)^2 runs over the
+    decision-distance multiples.
     """
+    i_side, j_side, _ = _geometry(b)
     weights = []
     squares = []
     for levels in (i_side, j_side):
@@ -188,21 +166,21 @@ def _qam_terms(i_side: int, j_side: int):
                 sign = (-1) ** math.floor(i * 2 ** (m - 1) / levels)
                 weights.append((2.0 / levels) * eta * sign)
                 squares.append((2 * i + 1) ** 2)
-    return np.array(weights), np.array(squares, dtype=float)
+    return (np.array(weights), np.array(squares, dtype=float),
+            i_side**2 + j_side**2 - 2)
 
 
-def ber_awgn_instant(shape: ConstellationShape, post_snr):
-    """Exact bit error rate of Gray rectangular QAM at the given symbol SNR.
+def ber_awgn_instant(b, post_snr):
+    """Exact bit error rate of b-bit Gray QAM at the given symbol SNR.
 
-    Vectorized over post_snr; reduces to Q(sqrt(snr)) for the 2x2 shape.
+    Vectorized over post_snr; reduces to Q(sqrt(snr)) for b = 2 (4-QAM).
     """
-    w, sq = _qam_terms(shape.i_side, shape.j_side)
+    w, sq, denom = _qam_terms(b)
     snr = np.asarray(post_snr, dtype=float)
     if np.any(snr < 0):
         raise ValueError("post_snr must be nonnegative")
-    denom = shape.i_side**2 + shape.j_side**2 - 2
     args = np.sqrt(6.0 * sq * snr[..., None] / denom)
-    out = (w * qfunc(args)).sum(axis=-1) / shape.bits
+    out = (w * qfunc(args)).sum(axis=-1) / b
     return out.item() if np.ndim(post_snr) == 0 else out
 
 
@@ -212,7 +190,7 @@ def _rayleigh_q_mean(beta):
     return 0.5 * (1.0 - np.sqrt(beta / (beta + 2.0)))
 
 
-def minil_avg_ber(shape: ConstellationShape, p: float, epsilon: float = 0.0,
+def minil_avg_ber(b, p: float, epsilon: float = 0.0,
                   k_users: int = 1) -> float:
     """Average BER of the aligned equivalent channel at power p.
 
@@ -227,11 +205,10 @@ def minil_avg_ber(shape: ConstellationShape, p: float, epsilon: float = 0.0,
         raise ValueError("epsilon must lie in [0, 1]")
     if k_users < 1:
         raise ValueError("k_users must be >= 1")
-    w, sq = _qam_terms(shape.i_side, shape.j_side)
-    denom = shape.i_side**2 + shape.j_side**2 - 2
+    w, sq, denom = _qam_terms(b)
     p_eff = p / (epsilon * (k_users - 1) * p + 1.0)
     beta = 6.0 * sq * p_eff / denom
-    return float((w * _rayleigh_q_mean(beta)).sum() / shape.bits)
+    return float((w * _rayleigh_q_mean(beta)).sum() / b)
 
 @lru_cache(maxsize=None)
 def _eigensum_coeffs(n_min: int, n_max: int):
@@ -282,7 +259,7 @@ def _q_gamma_moment_shifted(j: int, beta: float, a: float) -> float:
     return val
 
 
-def svd_avg_ber(shape: ConstellationShape, kp: float, n_min: int, n_max: int,
+def svd_avg_ber(b, kp: float, n_min: int, n_max: int,
                 epsilon: float = 0.0) -> float:
     """Average BER over the eigenmodes of spatial multiplexing.
 
@@ -299,8 +276,7 @@ def svd_avg_ber(shape: ConstellationShape, kp: float, n_min: int, n_max: int,
         raise ValueError("need 1 <= n_min <= n_max")
     if not 0.0 <= epsilon < 1.0:
         raise ValueError("epsilon must lie in [0, 1) for this expression")
-    w, sq = _qam_terms(shape.i_side, shape.j_side)
-    denom = shape.i_side**2 + shape.j_side**2 - 2
+    w, sq, denom = _qam_terms(b)
     js, cj = _eigensum_coeffs(n_min, n_max)
     if epsilon == 0.0:
         betas = 6.0 * sq * kp / (denom * n_min)
@@ -310,11 +286,12 @@ def svd_avg_ber(shape: ConstellationShape, kp: float, n_min: int, n_max: int,
         betas = (6.0 * sq * (1.0 - epsilon)
                  / (denom * (n_min / kp + (n_min - 1) * epsilon)))
         # The e^a prefactor is folded into the shifted moments.
-        moment = lambda j, b: _q_gamma_moment_shifted(j, b, a)
+        moment = lambda j, beta: _q_gamma_moment_shifted(j, beta, a)
     eig = np.array([
-        sum(c * moment(int(j), b) for j, c in zip(js, cj)) for b in betas
+        sum(c * moment(int(j), beta) for j, c in zip(js, cj))
+        for beta in betas
     ])
-    return float((w * eig).sum() / (n_min * shape.bits))
+    return float((w * eig).sum() / (n_min * b))
 
 
 @dataclass
@@ -331,7 +308,7 @@ class BerEstimate:
     ratio_var: float | None = None
     estimate: float = field(init=False)
     ci95: float = field(init=False)
-    one_sided: bool = False
+    one_sided: bool = field(init=False, default=False)
 
     def __post_init__(self):
         if self.bits_sent <= 0:

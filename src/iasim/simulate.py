@@ -21,9 +21,8 @@ import numpy as np
 
 from . import bitload
 from .bitload import greedy_bitload_table
-from .modem import (BerEstimate, ber_awgn_instant, minil_avg_ber,
-                    shape_for_bits, svd_avg_ber, bit_errors, modulate,
-                    demodulate)
+from .modem import (MAX_BITS, BerEstimate, ber_awgn_instant, minil_avg_ber,
+                    svd_avg_ber, bit_errors, modulate, demodulate)
 from .network import NetworkConfig, check_count, complex_normal, substream
 from .solvers import cross_gains, maxsinr_solve_batch, minil_solve_batch
 from .linalg import unit
@@ -54,10 +53,10 @@ def check_mode_config(cfg: NetworkConfig, mode: str, loading: bool):
     if mode != MODE_SVD:
         if loading or mode == MODE_ADAPTIVE:
             bitload.check_rate_budget(cfg.k_pairs, r)
-        elif cfg.rate_per_pair > bitload.MAX_BITS_PER_CHANNEL:
+        elif cfg.rate_per_pair > MAX_BITS:
             raise ValueError(
                 f"rate_per_pair {cfg.rate_per_pair} exceeds the supported "
-                f"{bitload.MAX_BITS_PER_CHANNEL} bits per channel")
+                f"{MAX_BITS} bits per channel")
     if mode in (MODE_SVD, MODE_ADAPTIVE):
         if loading or mode == MODE_ADAPTIVE:
             bitload.check_rate_budget(cfg.n_min, r)
@@ -67,10 +66,10 @@ def check_mode_config(cfg: NetworkConfig, mode: str, loading: bool):
                     f"network rate {r} is not divisible by "
                     f"n_min={cfg.n_min}; the equal-rate benchmark "
                     "requires divisibility")
-            if r // cfg.n_min > bitload.MAX_BITS_PER_CHANNEL:
+            if r // cfg.n_min > MAX_BITS:
                 raise ValueError(
                     f"{r // cfg.n_min} bits per eigenmode exceeds the "
-                    f"supported {bitload.MAX_BITS_PER_CHANNEL}")
+                    f"supported {MAX_BITS}")
 
 
 def _transmit(gains: np.ndarray, bits: np.ndarray, powers: np.ndarray,
@@ -128,7 +127,7 @@ def _transmit_block(gains, bits, powers, rngs) -> np.ndarray:
     for b in loads:
         data = drawn[start[streams[b]][:, None] + np.arange(FRAME_USES * b)]
         sent[b] = _pack(data.reshape(-1, FRAME_USES, b))
-        x[streams[b]] = modulate(sent[b], shape_for_bits(b))
+        x[streams[b]] = modulate(sent[b], b)
     noise = complex_normal(rngs, (n, FRAME_USES))
 
     amps = np.sqrt(powers)
@@ -138,7 +137,7 @@ def _transmit_block(gains, bits, powers, rngs) -> np.ndarray:
     for b in loads:
         fr, st = streams[b]
         rx = demodulate(r[fr, st], gains[fr, st, st][:, None],
-                        amps[fr, st][:, None], shape_for_bits(b))
+                        amps[fr, st][:, None], b)
         counts[fr, st, 0] = FRAME_USES * b
         counts[fr, st, 1] = bit_errors(sent[b], rx).sum(axis=1)
     return counts
@@ -194,12 +193,11 @@ class Design:
 
 def _ber_table(gains_sq: np.ndarray, kp: float, r: int) -> np.ndarray:
     """Per-channel BER lookup for greedy loading, (F, n, max_bits)."""
-    maxb = min(r, bitload.MAX_BITS_PER_CHANNEL)
+    maxb = min(r, MAX_BITS)
     f, n = gains_sq.shape
     table = np.empty((f, n, maxb))
     for b in range(1, maxb + 1):
-        table[:, :, b - 1] = ber_awgn_instant(
-            shape_for_bits(b), gains_sq * (kp / r) * b)
+        table[:, :, b - 1] = ber_awgn_instant(b, gains_sq * (kp / r) * b)
     return table
 
 
@@ -247,12 +245,11 @@ def _ia_design(cfg: NetworkConfig, mode: str, h_hat, init_v,
         sol = _check_finite(mode, maxsinr_solve_batch(
             h_hat, kp / r * bits, cfg.iterations, sol.v))
         predicted = np.zeros(f)
-        for b in range(1, bitload.MAX_BITS_PER_CHANNEL + 1):
+        for b in range(1, MAX_BITS + 1):
             mask = bits == b
             if np.any(mask):
                 np.add.at(predicted, np.nonzero(mask)[0],
-                          ber_awgn_instant(shape_for_bits(b), sol.sinr[mask])
-                          * b)
+                          ber_awgn_instant(b, sol.sinr[mask]) * b)
         predicted /= r
     return Design(mode, sol.u, sol.v, pair, bits, kp / r * bits, predicted)
 
@@ -461,13 +458,11 @@ def analytic_ber(cfg: NetworkConfig, mode: str, snr_db: float,
         return None
     p = 10.0 ** (snr_db / 10.0)
     if mode == MODE_MINIL:
-        shape = shape_for_bits(cfg.rate_per_pair)
-        return minil_avg_ber(shape, p, cfg.epsilon, cfg.k_pairs)
+        return minil_avg_ber(cfg.rate_per_pair, p, cfg.epsilon, cfg.k_pairs)
     if cfg.epsilon >= 1.0:
         return None
-    shape = shape_for_bits(cfg.total_rate // cfg.n_min)
-    return svd_avg_ber(shape, cfg.k_pairs * p, cfg.n_min, cfg.n_max,
-                       cfg.epsilon)
+    return svd_avg_ber(cfg.total_rate // cfg.n_min, cfg.k_pairs * p,
+                       cfg.n_min, cfg.n_max, cfg.epsilon)
 
 
 def sweep(cfg: NetworkConfig, snr_grid, eps_grid, modes, loading_flags,

@@ -24,8 +24,9 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import ndtr
 
-from iasim.modem import modulate, shape_for_bits
+from iasim.modem import modulate
 from iasim.simulate import _design, _sample_frames, _stream_gains
+from oracles import constellation_geometry
 
 
 @lru_cache(maxsize=None)
@@ -35,14 +36,12 @@ def _constellation(b: int):
     errors[w, m] is the number of bit errors when word w is sent and that
     axis is detected at level m; edges are the axis's decision thresholds.
     """
-    shape = shape_for_bits(b)
+    i_side, j_side, d, i_bits, _ = constellation_geometry(b)
     words = np.array(list(itertools.product((0, 1), repeat=b)))
-    syms = modulate(np.arange(2**b), shape)  # words[w] is the bits of w
-    d = shape.half_spacing
+    syms = modulate(np.arange(2**b), b)  # words[w] is the bits of w
     axes = []
-    for part, levels, cols in (
-            (syms.real, shape.i_side, slice(0, shape.i_bits)),
-            (syms.imag, shape.j_side, slice(shape.i_bits, b))):
+    for part, levels, cols in ((syms.real, i_side, slice(0, i_bits)),
+                               (syms.imag, j_side, slice(i_bits, b))):
         if levels == 1:
             continue
         level = np.rint((part / d + levels - 1) / 2).astype(int)

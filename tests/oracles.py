@@ -6,10 +6,13 @@ The package matches them exactly, except the solver loop, which matches
 `alternate` to within rounding.  None of them runs in the engine.
 """
 
+import math
+
 import numpy as np
 
-from iasim.bitload import MAX_BITS_PER_CHANNEL, check_rate_budget
+from iasim.bitload import check_rate_budget
 from iasim.linalg import unit
+from iasim.modem import MAX_BITS
 from iasim.solvers import _offdiag_power, cross_gains
 
 
@@ -48,6 +51,21 @@ def draw_inits(cfg, rngs, n: int) -> np.ndarray:
     return inits
 
 
+def constellation_geometry(b: int):
+    """(I, J, d, i_bits, j_bits) of b-bit Gray QAM, derived from b alone.
+
+    The real axis takes a label's leading i_bits = ceil(b/2) bits and
+    I = 2^i_bits levels, the imaginary axis the j_bits = floor(b/2) rest.
+    An L-level PAM at half-spacing d has mean energy d^2 (L^2 - 1) / 3,
+    so unit symbol energy needs d^2 = 3 / ((I^2 - 1) + (J^2 - 1)).
+    """
+    j_bits = b // 2
+    i_bits = b - j_bits
+    i_side, j_side = 1 << i_bits, 1 << j_bits
+    d = math.sqrt(3.0 / ((i_side**2 - 1) + (j_side**2 - 1)))
+    return i_side, j_side, d, i_bits, j_bits
+
+
 def bits_to_labels(bits) -> np.ndarray:
     """Labels of (..., b) bit words, most significant bit first."""
     bits = np.asarray(bits)
@@ -76,7 +94,7 @@ def greedy_bitload(ber_of, n_channels: int, total_rate: int) -> np.ndarray:
         best = -1
         best_obj = np.inf
         for i in range(n_channels):
-            if bits[i] >= MAX_BITS_PER_CHANNEL:
+            if bits[i] >= MAX_BITS:
                 continue
             p = ber_of(i, int(bits[i]) + 1)
             if not np.isfinite(p):

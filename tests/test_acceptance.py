@@ -14,8 +14,7 @@ from scipy import stats
 import oracles
 from conftest import draw_inits
 from exact_ber import exact_frame_ber, loaded_links
-from iasim.modem import (ConstellationShape, ber_awgn_instant, minil_avg_ber,
-                         modulate, shape_for_bits)
+from iasim.modem import ber_awgn_instant, minil_avg_ber, modulate
 from iasim.network import NetworkConfig
 from iasim.simulate import estimate_ber, fig1_stats
 from iasim.solvers import evaluate_true_sinr, minil_solve_batch
@@ -149,17 +148,16 @@ def curves_loaded(cfg22):
 
 
 def test_criterion_1_minil_analytic_agreement(cfg22):
-    shape = ConstellationShape(2, 2)
     worst = 0.0
     for snr in (0.0, 5.0, 10.0, 15.0, 20.0):
         est = estimate_ber(cfg22, "minil", snr, target_errors=10**9,
                            max_bits=2_400_000)
-        ana = minil_avg_ber(shape, 10 ** (snr / 10))
+        ana = minil_avg_ber(2, 10 ** (snr / 10))
         tol = max(0.10 * ana, 3 * est.stderr)
         worst = max(worst, abs(est.estimate - ana) / ana)
         assert est.bits_sent >= 2_000_000
         assert abs(est.estimate - ana) <= tol, (snr, est.estimate, ana)
-    anchor = minil_avg_ber(shape, 10.0)
+    anchor = minil_avg_ber(2, 10.0)
     assert anchor == pytest.approx(0.5 * (1 - math.sqrt(10 / 12)), rel=1e-12)
     report(1, "aligned-design analytic agreement", True,
            f"worst relative gap {worst:.1%} (tolerance 10% / 3 SE), "
@@ -218,7 +216,7 @@ def test_criterion_6_error_floor(cfg22):
                        max_bits=6_000_000)
     b40 = estimate_ber(cfg, "minil", 40.0, target_errors=4000,
                        max_bits=6_000_000)
-    limit = minil_avg_ber(ConstellationShape(2, 2), 1e12, 0.05, 3)
+    limit = minil_avg_ber(2, 1e12, 0.05, 3)
     ratio = b40.estimate / b30.estimate
     ok = ratio < 1.5 and abs(b40.estimate - limit) <= 0.15 * limit
     report(6, "uncertainty error floor", ok,
@@ -456,7 +454,7 @@ def test_criterion_13_property_suite(cfg22, rng):
     assert np.allclose(np.linalg.norm(sol.v, axis=-1), 1.0, atol=1e-12)
 
     def ber_of(i, b):
-        return ber_awgn_instant(shape_for_bits(b), (i + 1.0) * b)
+        return ber_awgn_instant(b, (i + 1.0) * b)
 
     table = np.stack([ber_of(np.arange(3), b) for b in range(1, 7)], axis=-1)
     assert greedy_bitload_table(table[None], 6).sum() == 6
@@ -469,9 +467,8 @@ def test_criterion_13_property_suite(cfg22, rng):
 
     # Gray adjacency for every supported shape
     for b in range(1, 7):
-        sh = shape_for_bits(b)
         words = np.array(list(itertools.product([0, 1], repeat=b)))
-        sym = modulate(oracles.bits_to_labels(words), sh)
+        sym = modulate(oracles.bits_to_labels(words), b)
         d2 = np.abs(sym[:, None] - sym[None, :]) ** 2
         np.fill_diagonal(d2, np.inf)
         for i, j in zip(*np.where(np.isclose(d2, d2.min()))):
@@ -479,17 +476,16 @@ def test_criterion_13_property_suite(cfg22, rng):
 
     # closed form vs AWGN Monte Carlo at 3 and 10 dB for the core shapes
     for b, snr_db in itertools.product((1, 2, 3, 4), (3.0, 10.0)):
-        sh = shape_for_bits(b)
         snr = 10 ** (snr_db / 10)
         n = 150_000
         bits = rng.integers(0, 2, (n, b))
-        x = modulate(oracles.bits_to_labels(bits), sh) * math.sqrt(snr)
+        x = modulate(oracles.bits_to_labels(bits), b) * math.sqrt(snr)
         noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) \
             / math.sqrt(2)
         from iasim.modem import demodulate
-        back = demodulate(x + noise, 1.0, math.sqrt(snr), sh)
+        back = demodulate(x + noise, 1.0, math.sqrt(snr), b)
         mc = np.mean(oracles.labels_to_bits(back, b) != bits)
-        cf = ber_awgn_instant(sh, snr)
+        cf = ber_awgn_instant(b, snr)
         se = math.sqrt(max(cf * (1 - cf), 1e-12) / (n * b))
         assert abs(mc - cf) <= max(3 * se, 5e-5), (b, snr_db, mc, cf)
 

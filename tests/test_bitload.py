@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from iasim import simulate
-from iasim.bitload import MAX_BITS_PER_CHANNEL, greedy_bitload_table
+from iasim.bitload import greedy_bitload_table
 from iasim.linalg import unit
-from iasim.modem import ber_awgn_instant, shape_for_bits
+from iasim.modem import MAX_BITS, ber_awgn_instant
 from iasim.network import NetworkConfig, complex_normal
 from iasim.simulate import (Design, _design, _load, _sample_frames,
                             _stream_gains)
@@ -30,14 +30,14 @@ def exhaustive_best(ber_of, n, r, cap=6):
 
 def table_bitload(ber_of, n, r):
     """greedy_bitload_table on one frame whose BER table comes from ber_of."""
-    levels = range(1, min(r, MAX_BITS_PER_CHANNEL) + 1)
+    levels = range(1, min(r, MAX_BITS) + 1)
     table = np.array([[ber_of(i, b) for b in levels] for i in range(n)])
     return greedy_bitload_table(table[None], r)[0]
 
 
 def snr_oracle(gains, kp, r):
     def ber_of(i, b):
-        return ber_awgn_instant(shape_for_bits(b), gains[i] * (kp / r) * b)
+        return ber_awgn_instant(b, gains[i] * (kp / r) * b)
     return ber_of
 
 
@@ -114,7 +114,7 @@ class TestGreedy:
         for _ in range(25):
             gains = rng.gamma(1.0, 1.0, (1, 3))
             table = np.stack([
-                ber_awgn_instant(shape_for_bits(b), gains * (kp / r) * b)
+                ber_awgn_instant(b, gains * (kp / r) * b)
                 for b in range(1, 7)], axis=-1)
             got = greedy_bitload_table(table, r)[0]
             want = greedy_bitload(snr_oracle(gains[0], kp, r), 3, r)
@@ -211,7 +211,7 @@ class TestLoadIa:
             interference = sum(p[l] * abs(g[k, l]) ** 2
                                for l in range(3) if l != k)
             sinr[k] = p[k] * abs(g[k, k]) ** 2 / (1.0 + interference)
-        want = sum(ber_awgn_instant(shape_for_bits(int(b)), s) * b
+        want = sum(ber_awgn_instant(int(b), s) * b
                    for b, s in zip(bits, sinr) if b) / cfg.total_rate
         assert design.predicted[0] == pytest.approx(want, rel=1e-9)
 

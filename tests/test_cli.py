@@ -121,6 +121,39 @@ class TestPresets:
         exp = preset(name)
         assert exp.name == name
 
+    # name: ((K, nt, nr), snr_db, epsilon, modes, loading, special)
+    SNR = [0, 5, 10, 15, 20, 25, 30]
+    EPS = [0.0, 0.01, 0.05, 0.1, 0.2, 0.3, 0.5]
+    FULL = ["minil", "maxsinr", "svd"]
+    FIELDS = {
+        "fig1": ((3, 3, 2), [], [0.0], ["maxsinr"], [False], "fig1"),
+        "fig2": ((3, 2, 2), SNR, [0.0, 0.05, 0.1], FULL, [False], None),
+        "fig3": ((3, 3, 2), SNR, [0.0, 0.05, 0.1], FULL, [False], None),
+        "fig4": ((4, 3, 2), SNR, [0.0, 0.05, 0.1], FULL, [False], None),
+        "fig5": ((3, 2, 2), [20.0], EPS, FULL, [False], None),
+        "fig6": ((3, 2, 2), SNR, [0.0], FULL + ["adaptive"], [True], None),
+        "fig7": ((3, 2, 2), [15.0], EPS, FULL + ["adaptive"], [True], None),
+    }
+
+    @pytest.mark.parametrize("name", list(FIELDS))
+    def test_preset_fields(self, name):
+        (k, nt, nr), *grids = self.FIELDS[name]
+        exp = preset(name)
+        assert exp.cfg == NetworkConfig(k_pairs=k, nt=nt, nr=nr,
+                                        power_p=1.0, rate_per_pair=2,
+                                        epsilon=0.0, iterations=100, seed=0)
+        assert [exp.snr_db, exp.epsilon, exp.modes, exp.loading,
+                exp.special] == grids
+        assert (exp.target_errors, exp.max_bits) == (200, 20_000_000)
+
+    def test_preset_lists_are_fresh(self):
+        # Editing one preset's grids must not leak into the next call.
+        exp = preset("fig6")
+        exp.snr_db.append(99.0)
+        exp.modes.remove("adaptive")
+        assert 99.0 not in preset("fig6").snr_db
+        assert "adaptive" in preset("fig6").modes
+
     def test_fig2_shape(self):
         exp = preset("fig2")
         assert exp.cfg.k_pairs == 3 and exp.cfg.nt == 2 and exp.cfg.nr == 2

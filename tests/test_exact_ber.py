@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from exact_ber import exact_frame_ber, loaded_links
-from iasim.modem import ber_awgn_instant, shape_for_bits
+from iasim.modem import ber_awgn_instant
 from iasim.network import NetworkConfig
 from iasim.simulate import run_frames
 
@@ -27,8 +27,9 @@ def test_interference_free_frames_match_awgn_closed_form():
     expect = np.zeros(len(bits))
     for b in range(1, 7):
         sel = bits == b
-        expect += np.where(sel, b * ber_awgn_instant(
-            shape_for_bits(b), np.abs(diag) ** 2 * powers), 0.0).sum(axis=1)
+        expect += np.where(
+            sel, b * ber_awgn_instant(b, np.abs(diag) ** 2 * powers),
+            0.0).sum(axis=1)
     expect /= bits.sum(axis=1)
     assert len(np.unique(bits, axis=0)) > 1
     np.testing.assert_allclose(exact_frame_ber(gains, bits, powers), expect,

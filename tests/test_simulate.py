@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from iasim import simulate
-from iasim.modem import minil_avg_ber, shape_for_bits
+from iasim.modem import minil_avg_ber
 from iasim.network import NetworkConfig
 from iasim.simulate import (FRAME_USES, _design, _sample_frames,
                             analytic_ber, check_mode_config, estimate_ber,
@@ -139,7 +139,7 @@ class TestPhysicalLimits:
                             epsilon=1.0, seed=9)
         counts = run_frames(cfg, "minil", range(800))
         ber = counts[:, :, 1].sum() / counts[:, :, 0].sum()
-        floor = minil_avg_ber(shape_for_bits(2), 1e3, 1.0, 3)
+        floor = minil_avg_ber(2, 1e3, 1.0, 3)
         assert 1e-2 < ber < 0.5
         assert ber == pytest.approx(floor, rel=0.1)
 
@@ -235,7 +235,7 @@ class TestEstimateBer:
     def test_matches_closed_form(self, cfg):
         est = estimate_ber(cfg, "minil", 10.0, target_errors=2000,
                            max_bits=1_000_000)
-        ana = minil_avg_ber(shape_for_bits(2), 10.0)
+        ana = minil_avg_ber(2, 10.0)
         assert abs(est.estimate - ana) <= max(3 * est.stderr, 0.1 * ana)
 
 
@@ -306,7 +306,7 @@ class TestSweep:
 
     def test_analytic_ber_helper(self, cfg):
         assert analytic_ber(cfg, "minil", 10.0, False) == pytest.approx(
-            minil_avg_ber(shape_for_bits(2), 10.0))
+            minil_avg_ber(2, 10.0))
         assert analytic_ber(cfg, "minil", 10.0, True) is None
         assert analytic_ber(cfg, "maxsinr", 10.0, False) is None
         assert analytic_ber(cfg, "svd", 10.0, False) is not None
@@ -321,5 +321,5 @@ class TestReceiverRealism:
                             epsilon=1.0, seed=15)
         counts = run_frames(cfg, "minil", range(400))
         ber = counts[:, :, 1].sum() / counts[:, :, 0].sum()
-        interference_free = minil_avg_ber(shape_for_bits(2), 100.0)
+        interference_free = minil_avg_ber(2, 100.0)
         assert ber > 10 * interference_free

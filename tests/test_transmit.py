@@ -16,7 +16,7 @@ import pytest
 
 import oracles
 from iasim import simulate
-from iasim.modem import demodulate, modulate, shape_for_bits
+from iasim.modem import demodulate, modulate
 from iasim.network import NetworkConfig, complex_normal, substream
 from iasim.simulate import _BLOCK_FRAMES, FRAME_USES, _transmit
 
@@ -35,7 +35,7 @@ def transmit_frame(gains, bits_per_ch, powers, rng):
         b = int(bits_per_ch[i])
         if b > 0:
             data = rng.integers(0, 2, size=(FRAME_USES, b))
-            x[i] = modulate(oracles.bits_to_labels(data), shape_for_bits(b))
+            x[i] = modulate(oracles.bits_to_labels(data), b)
         else:
             data = None
         tx_bits.append(data)
@@ -49,8 +49,7 @@ def transmit_frame(gains, bits_per_ch, powers, rng):
         if b == 0:
             continue
         g = gains[i, i]
-        rx = demodulate(r[i], g if abs(g) > 0 else 0.0, float(amps[i]),
-                        shape_for_bits(b))
+        rx = demodulate(r[i], g if abs(g) > 0 else 0.0, float(amps[i]), b)
         rx_bits = oracles.labels_to_bits(rx, b)
         counts[i] = FRAME_USES * b, int(np.sum(rx_bits != tx_bits[i]))
     return counts
