@@ -16,12 +16,16 @@ from pathlib import Path
 
 from .network import NetworkConfig, check_count
 from .simulate import (MODE_ADAPTIVE, MODE_MAXSINR, MODE_MINIL, MODE_SVD,
-                       RUN_MODES, check_mode_config, fig1_stats, sweep)
+                       check_mode_config, fig1_stats, sweep)
 
-_CONFIG_KEYS = {
-    "k", "nt", "nr", "rate_per_pair", "epsilon", "snr_db", "modes",
-    "loading", "iterations", "seed", "target_errors", "max_bits",
-}
+# Integer config keys: those of the network, with the NetworkConfig field
+# each sets, and those of the stop rule.
+_NETWORK_KEYS = {"k": "k_pairs", "nt": "nt", "nr": "nr",
+                 "rate_per_pair": "rate_per_pair",
+                 "iterations": "iterations", "seed": "seed"}
+_STOP_KEYS = ("target_errors", "max_bits")
+_CONFIG_KEYS = {*_NETWORK_KEYS, *_STOP_KEYS, "epsilon", "snr_db", "modes",
+                "loading"}
 
 _CSV_COLUMNS = ["experiment", "mode", "loading", "K", "nt", "nr", "snr_db",
                 "epsilon", "bits", "errors", "ber", "ci95", "analytic_ber"]
@@ -50,27 +54,30 @@ class Experiment:
 def _parse_values(text: str) -> list:
     """Grid syntax: scalar, comma list, or inclusive start:stop:step.
 
-    Every number must be finite, and a range's step must move it.
+    A grid needs at least one value, every number must be finite, and a
+    range's step must move it.
     """
     text = text.strip()
     sep = ":" if ":" in text else ","
     values = [float(x) for x in text.split(sep) if x.strip()]
     if not all(math.isfinite(x) for x in values):
         raise ValueError(f"grid values must be finite, got {text!r}")
-    if sep == ",":
-        return values
-    if len(values) != 3 or values[2] <= 0:
-        raise ValueError(f"bad range syntax {text!r}, want start:stop:step")
-    start, stop, step = values
-    out = []
-    x = start
-    while x <= stop + 1e-9:
-        out.append(round(x, 10))
-        if x + step == x:
-            raise ValueError(f"range step {step:g} is below the float "
-                             f"spacing at {x:g} in {text!r}")
-        x += step
-    return out
+    if sep == ":":
+        if len(values) != 3 or values[2] <= 0:
+            raise ValueError(
+                f"bad range syntax {text!r}, want start:stop:step")
+        start, stop, step = values
+        values = []
+        x = start
+        while x <= stop + 1e-9:
+            values.append(round(x, 10))
+            if x + step == x:
+                raise ValueError(f"range step {step:g} is below the float "
+                                 f"spacing at {x:g} in {text!r}")
+            x += step
+    if not values:
+        raise ValueError(f"grid {text!r} has no values")
+    return values
 
 
 def parse_config(path) -> Experiment:
@@ -101,23 +108,18 @@ def parse_config(path) -> Experiment:
             raise ValueError(f"{path}: {key} must be an integer, got {text!r}")
         return int(value)
 
-    def geti(key, default):
-        return integer(key, raw[key]) if key in raw else default
+    def present(keys):
+        return {key: integer(key, raw[key]) for key in keys if key in raw}
 
-    cfg = NetworkConfig(
-        k_pairs=geti("k", 3), nt=geti("nt", 2), nr=geti("nr", 2),
-        power_p=1.0, rate_per_pair=geti("rate_per_pair", 2),
-        epsilon=0.0, iterations=geti("iterations", 100),
-        seed=geti("seed", 0))
+    cfg = NetworkConfig(power_p=1.0, **{
+        _NETWORK_KEYS[key]: value
+        for key, value in present(_NETWORK_KEYS).items()})
     snr_db = _parse_values(raw.get("snr_db", "0:30:5"))
     epsilon = _parse_values(raw.get("epsilon", "0"))
     for eps in epsilon:
         if not 0.0 <= eps <= 1.0:
             raise ValueError(f"epsilon {eps} outside [0, 1]")
     modes = [m.strip().lower() for m in raw.get("modes", "minil").split(",")]
-    for mode in modes:
-        if mode not in RUN_MODES:
-            raise ValueError(f"unknown mode {mode!r}; choose from {RUN_MODES}")
     loading_txt = raw.get("loading", "0")
     loading = [integer("loading", x.strip()) for x in loading_txt.split(",")]
     if not set(loading) <= {0, 1}:
@@ -126,9 +128,7 @@ def parse_config(path) -> Experiment:
     loading = [bool(x) for x in loading]
 
     exp = Experiment(name=path.stem, cfg=cfg, snr_db=snr_db, epsilon=epsilon,
-                     modes=modes, loading=loading,
-                     target_errors=geti("target_errors", 200),
-                     max_bits=geti("max_bits", 20_000_000))
+                     modes=modes, loading=loading, **present(_STOP_KEYS))
     validate_experiment(exp)
     return exp
 
@@ -182,20 +182,18 @@ def run_experiment(exp: Experiment, out_dir, workers: int = 1,
                    timestamp: bool = True) -> Path:
     """Run one experiment and write its CSV; returns the file path."""
     check_count("workers", workers)
+    check_count("target_errors", exp.target_errors)
+    check_count("max_bits", exp.max_bits)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / f"{exp.name}.csv"
     if exp.special == "fig1":
         rows = fig1_stats(exp.cfg, FIG1_POWERS)
-        for row in rows:
-            row["experiment"] = exp.name
         columns = _FIG1_COLUMNS
     else:
         rows = sweep(exp.cfg, exp.snr_db, exp.epsilon, exp.modes,
                      exp.loading, target_errors=exp.target_errors,
                      max_bits=exp.max_bits, workers=workers)
-        for row in rows:
-            row["experiment"] = exp.name
         columns = _CSV_COLUMNS
     with out_path.open("w", newline="") as fh:
         if timestamp:
@@ -203,11 +201,8 @@ def run_experiment(exp: Experiment, out_dir, workers: int = 1,
             fh.write(f"# generated {stamp}\n")
         writer = csv.DictWriter(fh, fieldnames=columns)
         writer.writeheader()
-        for row in rows:
-            out = dict(row)
-            if out.get("analytic_ber") is None:
-                out["analytic_ber"] = ""
-            writer.writerow({c: out.get(c, "") for c in columns})
+        # A missing analytic_ber (None) is written as an empty field.
+        writer.writerows({"experiment": exp.name, **row} for row in rows)
     return out_path
 
 

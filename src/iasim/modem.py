@@ -177,7 +177,7 @@ def ber_awgn_instant(b, post_snr):
     """
     w, sq, denom = _qam_terms(b)
     snr = np.asarray(post_snr, dtype=float)
-    if np.any(snr < 0):
+    if not np.all(snr >= 0):
         raise ValueError("post_snr must be nonnegative")
     args = np.sqrt(6.0 * sq * snr[..., None] / denom)
     out = (w * qfunc(args)).sum(axis=-1) / b
@@ -199,8 +199,8 @@ def minil_avg_ber(b, p: float, epsilon: float = 0.0,
     as extra Gaussian noise.  eps = 0 recovers the perfect-knowledge form
     and is independent of k_users.
     """
-    if p <= 0:
-        raise ValueError("power must be positive")
+    if not (math.isfinite(p) and p > 0):
+        raise ValueError(f"power must be finite and positive, got {p}")
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("epsilon must lie in [0, 1]")
     if k_users < 1:
@@ -270,8 +270,8 @@ def svd_avg_ber(b, kp: float, n_min: int, n_max: int,
     series switches to the truncated-integral variant with modified
     per-term SNR; epsilon = 1 is undefined.
     """
-    if kp <= 0:
-        raise ValueError("kp must be positive")
+    if not (math.isfinite(kp) and kp > 0):
+        raise ValueError(f"kp must be finite and positive, got {kp}")
     if n_min < 1 or n_min > n_max:
         raise ValueError("need 1 <= n_min <= n_max")
     if not 0.0 <= epsilon < 1.0:

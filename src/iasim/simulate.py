@@ -46,30 +46,24 @@ _CHUNK_FRAMES = 400  # frames between stop-rule checks
 
 
 def check_mode_config(cfg: NetworkConfig, mode: str, loading: bool):
-    """Reject configurations a mode cannot carry, before any frame runs."""
+    """Reject configurations a mode cannot carry, before any frame runs.
+
+    The aligned modes carry the network rate R over K channels and
+    SVD-SM over n_min eigenmodes; adaptive carries it over both.  Loaded
+    or not, a channel holds at most MAX_BITS bits: an even split R / n of
+    integer rates is at most MAX_BITS exactly when R <= n * MAX_BITS.
+    """
     if mode not in RUN_MODES:
-        raise ValueError(f"unknown mode {mode!r}")
+        raise ValueError(f"unknown mode {mode!r}; choose from {RUN_MODES}")
     r = cfg.total_rate
+    if mode == MODE_SVD and not loading and r % cfg.n_min:
+        raise ValueError(
+            f"network rate {r} is not divisible by n_min={cfg.n_min}; "
+            "the equal-rate benchmark requires divisibility")
     if mode != MODE_SVD:
-        if loading or mode == MODE_ADAPTIVE:
-            bitload.check_rate_budget(cfg.k_pairs, r)
-        elif cfg.rate_per_pair > MAX_BITS:
-            raise ValueError(
-                f"rate_per_pair {cfg.rate_per_pair} exceeds the supported "
-                f"{MAX_BITS} bits per channel")
+        bitload.check_rate_budget(cfg.k_pairs, r)
     if mode in (MODE_SVD, MODE_ADAPTIVE):
-        if loading or mode == MODE_ADAPTIVE:
-            bitload.check_rate_budget(cfg.n_min, r)
-        else:
-            if r % cfg.n_min:
-                raise ValueError(
-                    f"network rate {r} is not divisible by "
-                    f"n_min={cfg.n_min}; the equal-rate benchmark "
-                    "requires divisibility")
-            if r // cfg.n_min > MAX_BITS:
-                raise ValueError(
-                    f"{r // cfg.n_min} bits per eigenmode exceeds the "
-                    f"supported {MAX_BITS}")
+        bitload.check_rate_budget(cfg.n_min, r)
 
 
 def _transmit(gains: np.ndarray, bits: np.ndarray, powers: np.ndarray,
@@ -201,14 +195,21 @@ def _ber_table(gains_sq: np.ndarray, kp: float, r: int) -> np.ndarray:
     return table
 
 
+def _predicted(bits: np.ndarray, snr: np.ndarray, r: int) -> np.ndarray:
+    """Each frame's predicted BER (1/R) sum_i P_b(snr_i) b_i, (F,), for
+    channels carrying bits[f, i] bits at symbol SNR snr[f, i]."""
+    contrib = np.zeros(bits.shape)
+    for b in [int(b) for b in np.unique(bits) if b > 0]:
+        mask = bits == b
+        contrib[mask] = ber_awgn_instant(b, snr[mask]) * b
+    return contrib.sum(axis=1) / r
+
+
 def _load(gains_sq: np.ndarray, kp: float, r: int):
     """Greedy bits over channels of power gain gains_sq (at power KP/R
-    per bit), and each frame's predicted BER (1/R) sum_i P_b(i) b_i."""
-    table = _ber_table(gains_sq, kp, r)
-    bits = greedy_bitload_table(table, r)
-    taken = np.take_along_axis(table, np.maximum(bits, 1)[..., None] - 1,
-                               axis=2)[..., 0]
-    return bits, (taken * bits).sum(axis=1) / r
+    per bit), and each frame's predicted BER."""
+    bits = greedy_bitload_table(_ber_table(gains_sq, kp, r), r)
+    return bits, _predicted(bits, gains_sq * (kp / r) * bits, r)
 
 
 def _check_finite(mode: str, sol):
@@ -239,18 +240,13 @@ def _ia_design(cfg: NetworkConfig, mode: str, h_hat, init_v,
         # Alignment is power-scale invariant, so MinIL keeps its design.
         bits, predicted = _load(np.abs(sol.z) ** 2, kp, r)
     else:
-        bits, _ = _load(sol.sinr / cfg.power_p, kp, r)
+        bits = greedy_bitload_table(
+            _ber_table(sol.sinr / cfg.power_p, kp, r), r)
         # One re-design pass under the loaded powers, warm-started; the
         # prediction then uses the final SINRs.
         sol = _check_finite(mode, maxsinr_solve_batch(
             h_hat, kp / r * bits, cfg.iterations, sol.v))
-        predicted = np.zeros(f)
-        for b in range(1, MAX_BITS + 1):
-            mask = bits == b
-            if np.any(mask):
-                np.add.at(predicted, np.nonzero(mask)[0],
-                          ber_awgn_instant(b, sol.sinr[mask]) * b)
-        predicted /= r
+        predicted = _predicted(bits, sol.sinr, r)
     return Design(mode, sol.u, sol.v, pair, bits, kp / r * bits, predicted)
 
 
@@ -355,39 +351,24 @@ def _cell_config(cfg: NetworkConfig, mode: str, snr_db: float,
     return cfg
 
 
-def _open_pool(workers: int):
-    """A pool of `workers` processes, or a context yielding None for one.
-
-    The pool class is looked up at call time, so a profiler that swaps
-    concurrent.futures.ProcessPoolExecutor sees every pool.
-    """
-    if workers == 1:
-        return contextlib.nullcontext()
-    return concurrent.futures.ProcessPoolExecutor(workers)
-
-
-def _estimate(pool, workers: int, cfg: NetworkConfig, mode: str,
+def _estimate(run, workers: int, cfg: NetworkConfig, mode: str,
               loading: bool, target_errors: int, max_bits: int,
               chunk_frames: int) -> BerEstimate:
-    """estimate_ber's chunk loop and stop rule, on `pool` (None: serial).
+    """estimate_ber's chunk loop and stop rule, mapping with `run`.
 
     Each chunk is split into `workers` frame ranges, and the stop rule is
-    applied after the whole chunk is back.  Workers fork at the pool's
-    first submit, which is made here.
+    applied after the whole chunk is back.  Pool workers fork at the
+    pool's first submit, which is made here.
     """
     per_frame = []
     bits = errors = 0
     start = 0
     while errors < target_errors and bits < max_bits:
         stop = start + chunk_frames
-        if pool is not None:
-            bounds = np.linspace(start, stop, workers + 1, dtype=int)
-            jobs = [(cfg, mode, int(a), int(b), loading)
-                    for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
-            chunk = np.vstack(list(pool.map(_run_range, jobs)))
-        else:
-            chunk = run_frames(cfg, mode, range(start, stop),
-                               loading).sum(axis=1)
+        bounds = np.linspace(start, stop, workers + 1, dtype=int)
+        jobs = [(cfg, mode, int(a), int(b), loading)
+                for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
+        chunk = np.vstack(list(run(_run_range, jobs)))
         per_frame.append(chunk)
         bits += int(chunk[:, 0].sum())
         errors += int(chunk[:, 1].sum())
@@ -398,6 +379,23 @@ def _estimate(pool, workers: int, cfg: NetworkConfig, mode: str,
     ratio_var = float((resid**2).sum() / bits**2)
     return BerEstimate(bits_sent=bits, bit_errors=errors,
                        ratio_var=ratio_var)
+
+
+def _estimates(cells, workers: int, target_errors: int, max_bits: int,
+               chunk_frames: int) -> list:
+    """_estimate of each checked (cfg, mode, loading) cell, in order.
+
+    One worker maps with builtin map; more share one pool of `workers`
+    processes for all the cells.  The pool class is looked up at call
+    time, so a profiler that swaps concurrent.futures.ProcessPoolExecutor
+    sees every pool.
+    """
+    with contextlib.ExitStack() as stack:
+        run = map if workers == 1 else stack.enter_context(
+            concurrent.futures.ProcessPoolExecutor(workers)).map
+        return [_estimate(run, workers, cfg, mode, loading, target_errors,
+                          max_bits, chunk_frames)
+                for cfg, mode, loading in cells]
 
 
 def estimate_ber(cfg: NetworkConfig, mode: str, snr_db: float,
@@ -418,9 +416,8 @@ def estimate_ber(cfg: NetworkConfig, mode: str, snr_db: float,
     check_count("chunk_frames", chunk_frames)
     check_count("workers", workers)
     cfg = _cell_config(cfg, mode, snr_db, loading)
-    with _open_pool(workers) as pool:
-        return _estimate(pool, workers, cfg, mode, loading, target_errors,
-                         max_bits, chunk_frames)
+    return _estimates([(cfg, mode, loading)], workers, target_errors,
+                      max_bits, chunk_frames)[0]
 
 
 def fig1_stats(cfg: NetworkConfig, p_grid, frames: int = 10_000) -> list:
@@ -431,6 +428,7 @@ def fig1_stats(cfg: NetworkConfig, p_grid, frames: int = 10_000) -> list:
     (unit power) and the matched-beamforming ceiling estimated by
     singular-value sampling of the same frames' direct channels.
     """
+    check_count("frames", frames)
     rngs, h_hat, h = _sample_frames(cfg, range(frames))
     init_x = _draw_inits(cfg, rngs, 1)[:, 0]
     k = cfg.k_pairs
@@ -493,24 +491,19 @@ def sweep(cfg: NetworkConfig, snr_grid, eps_grid, modes, loading_flags,
                 for snr_db in snr_grid:
                     cells.append((_cell_config(cfg_e, mode, snr_db, loading),
                                   mode, loading, float(snr_db)))
-    rows = []
-    with _open_pool(workers) as pool:
-        for cell_cfg, mode, loading, snr_db in cells:
-            est = _estimate(pool, workers, cell_cfg, mode, loading,
-                            target_errors, max_bits, _CHUNK_FRAMES)
-            rows.append({
-                "mode": mode,
-                "loading": int(loading),
-                "K": cfg.k_pairs,
-                "nt": cfg.nt,
-                "nr": cfg.nr,
-                "snr_db": snr_db,
-                "epsilon": cell_cfg.epsilon,
-                "bits": est.bits_sent,
-                "errors": est.bit_errors,
-                "ber": est.estimate,
-                "ci95": est.ci95,
-                "analytic_ber": analytic_ber(cell_cfg, mode, snr_db,
-                                             loading),
-            })
-    return rows
+    ests = _estimates([cell[:3] for cell in cells], workers, target_errors,
+                      max_bits, _CHUNK_FRAMES)
+    return [{
+        "mode": mode,
+        "loading": int(loading),
+        "K": cfg.k_pairs,
+        "nt": cfg.nt,
+        "nr": cfg.nr,
+        "snr_db": snr_db,
+        "epsilon": cell_cfg.epsilon,
+        "bits": est.bits_sent,
+        "errors": est.bit_errors,
+        "ber": est.estimate,
+        "ci95": est.ci95,
+        "analytic_ber": analytic_ber(cell_cfg, mode, snr_db, loading),
+    } for (cell_cfg, mode, loading, snr_db), est in zip(cells, ests)]

@@ -190,16 +190,14 @@ def maxsinr_solve_batch(channels: np.ndarray, powers, iterations: int,
     return IaSolution(v, u, *_metrics(h, u, v, p), p)
 
 
-def evaluate_true_sinr(sol: IaSolution, true_channels, powers=None):
+def evaluate_true_sinr(sol: IaSolution, true_channels):
     """Post-processing SINR of a designed batch on the true channels.
 
     gamma_k = p_k |u_k^H H_kk v_k|^2 / (1 + sum_{l != k} p_l
-    |u_k^H H_kl v_l|^2) at unit noise power, with the solution's powers
-    unless `powers` is given.  Returns (sinr, signal_gain,
-    interference_power).
+    |u_k^H H_kl v_l|^2) at unit noise power, with the solution's powers.
+    Returns (sinr, signal_gain, interference_power).
     """
     h = _as_batch(true_channels)
-    p = _as_powers(sol.per_channel_power if powers is None else powers,
-                   *h.shape[:2])
+    p = _as_powers(sol.per_channel_power, *h.shape[:2])
     z, interference, sinr = _metrics(h, sol.u, sol.v, p)
     return sinr, z, interference

@@ -3,7 +3,9 @@
 Each function here is the frame-by-frame (or channel-by-channel, or
 einsum) form of a function in the package; the tests compare the two.
 The package matches them exactly, except the solver loop, which matches
-`alternate` to within rounding.  None of them runs in the engine.
+`alternate` to within rounding, the Max-SINR prediction, which sums in
+another order, and the mode check, which rejects the same cases with
+other messages.  None of them runs in the engine.
 """
 
 import math
@@ -12,7 +14,8 @@ import numpy as np
 
 from iasim.bitload import check_rate_budget
 from iasim.linalg import unit
-from iasim.modem import MAX_BITS
+from iasim.modem import MAX_BITS, ber_awgn_instant
+from iasim.simulate import MODE_ADAPTIVE, MODE_SVD, RUN_MODES
 from iasim.solvers import _offdiag_power, cross_gains
 
 
@@ -106,6 +109,52 @@ def greedy_bitload(ber_of, n_channels: int, total_rate: int) -> np.ndarray:
         bits[best] += 1
         contrib[best] = ber_of(best, int(bits[best])) * bits[best]
     return bits
+
+
+def check_mode_config(cfg, mode: str, loading: bool):
+    """The engine's mode check, one branch per mode and loading case."""
+    if mode not in RUN_MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    r = cfg.total_rate
+    if mode != MODE_SVD:
+        if loading or mode == MODE_ADAPTIVE:
+            check_rate_budget(cfg.k_pairs, r)
+        elif cfg.rate_per_pair > MAX_BITS:
+            raise ValueError(
+                f"rate_per_pair {cfg.rate_per_pair} exceeds the supported "
+                f"{MAX_BITS} bits per channel")
+    if mode in (MODE_SVD, MODE_ADAPTIVE):
+        if loading or mode == MODE_ADAPTIVE:
+            check_rate_budget(cfg.n_min, r)
+        else:
+            if r % cfg.n_min:
+                raise ValueError(
+                    f"network rate {r} is not divisible by "
+                    f"n_min={cfg.n_min}; the equal-rate benchmark "
+                    "requires divisibility")
+            if r // cfg.n_min > MAX_BITS:
+                raise ValueError(
+                    f"{r // cfg.n_min} bits per eigenmode exceeds the "
+                    f"supported {MAX_BITS}")
+
+
+def table_prediction(table: np.ndarray, bits: np.ndarray, r: int):
+    """(1/R) sum_i P_b(i) b_i, each P_b read from the greedy BER table
+    (F, n, max_bits) at the channel's loaded bit count."""
+    taken = np.take_along_axis(table, np.maximum(bits, 1)[..., None] - 1,
+                               axis=2)[..., 0]
+    return (taken * bits).sum(axis=1) / r
+
+
+def sinr_prediction(bits: np.ndarray, sinr: np.ndarray, r: int):
+    """(1/R) sum_i P_b(sinr_i) b_i, accumulated one bit count at a time."""
+    predicted = np.zeros(len(bits))
+    for b in range(1, MAX_BITS + 1):
+        mask = bits == b
+        if np.any(mask):
+            np.add.at(predicted, np.nonzero(mask)[0],
+                      ber_awgn_instant(b, sinr[mask]) * b)
+    return predicted / r
 
 
 def alternate(h, p, iterations, v, update, trace=None):

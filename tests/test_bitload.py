@@ -8,9 +8,9 @@ from iasim.bitload import greedy_bitload_table
 from iasim.linalg import unit
 from iasim.modem import MAX_BITS, ber_awgn_instant
 from iasim.network import NetworkConfig, complex_normal
-from iasim.simulate import (Design, _design, _load, _sample_frames,
-                            _stream_gains)
-from oracles import greedy_bitload
+from iasim.simulate import (Design, _ber_table, _design, _load,
+                            _sample_frames, _stream_gains)
+from oracles import greedy_bitload, sinr_prediction, table_prediction
 
 
 def weighted_ber(bits, ber_of, r):
@@ -228,6 +228,59 @@ class TestLoadIa:
         (design,), _, _ = engine_design(cfg, "maxsinr", frame=4, edit=edit)
         bits = design.bits[0]
         assert bits[1] > max(bits[0], bits[2])
+
+
+class TestPrediction:
+    """Each loaded design's predicted BER against the forms it replaced."""
+
+    def designed(self, monkeypatch, mode, power_p, rate_per_pair):
+        """The engine's loaded design over 300 frames, and the last
+        solution its solver returned (None for SVD-SM)."""
+        cfg = NetworkConfig(k_pairs=3, nt=2, nr=2, power_p=power_p,
+                            rate_per_pair=rate_per_pair, seed=4)
+        solved = []
+
+        def recording(solve):
+            def wrapped(*args):
+                solved.append(solve(*args))
+                return solved[-1]
+            return wrapped
+
+        for name in ("minil_solve_batch", "maxsinr_solve_batch"):
+            monkeypatch.setattr(simulate, name,
+                                recording(getattr(simulate, name)))
+        frames = range(300)
+        rngs, h_hat, _ = _sample_frames(cfg, frames)
+        active = np.array(frames) % cfg.k_pairs
+        (design,), _ = _design(cfg, mode, True, rngs, h_hat, active)
+        return cfg, design, solved[-1] if solved else None, h_hat, active
+
+    @pytest.mark.parametrize("power_p", [0.3, 10.0, 1e3])
+    @pytest.mark.parametrize("rate_per_pair", [1, 2, 4])
+    @pytest.mark.parametrize("mode", ["minil", "svd"])
+    def test_loaded_prediction_equals_table_lookup(
+            self, monkeypatch, mode, power_p, rate_per_pair):
+        cfg, design, sol, h_hat, active = self.designed(
+            monkeypatch, mode, power_p, rate_per_pair)
+        if mode == "minil":
+            gains_sq = np.abs(sol.z) ** 2
+        else:
+            _, s, _ = np.linalg.svd(
+                h_hat[np.arange(len(active)), active, active])
+            gains_sq = s[:, :cfg.n_min] ** 2
+        kp, r = cfg.k_pairs * cfg.power_p, cfg.total_rate
+        want = table_prediction(_ber_table(gains_sq, kp, r), design.bits, r)
+        assert np.array_equal(design.predicted, want)
+
+    @pytest.mark.parametrize("power_p", [0.3, 10.0, 1e3])
+    @pytest.mark.parametrize("rate_per_pair", [1, 2, 4])
+    def test_maxsinr_prediction_matches_per_bit_count_sum(
+            self, monkeypatch, power_p, rate_per_pair):
+        # Only the order of the sum over channels differs.
+        cfg, design, sol, _, _ = self.designed(
+            monkeypatch, "maxsinr", power_p, rate_per_pair)
+        want = sinr_prediction(design.bits, sol.sinr, cfg.total_rate)
+        assert np.allclose(design.predicted, want, rtol=1e-15, atol=0.0)
 
 
 class TestSelectMode:

@@ -47,8 +47,17 @@ class TestParseConfig:
 
     def test_bad_mode_rejected(self, tmp_path):
         p = write(tmp_path, "modes = quantum\n")
-        with pytest.raises(ValueError, match="quantum"):
+        with pytest.raises(ValueError, match="'quantum'; choose from"):
             parse_config(p)
+
+    def test_absent_keys_take_the_defaults(self, tmp_path):
+        exp = parse_config(write(tmp_path, "# nothing set\n"))
+        assert exp.cfg == NetworkConfig(k_pairs=3, nt=2, nr=2, power_p=1.0,
+                                        rate_per_pair=2, epsilon=0.0,
+                                        iterations=100, seed=0)
+        assert [exp.snr_db, exp.epsilon, exp.modes, exp.loading] == [
+            [0, 5, 10, 15, 20, 25, 30], [0.0], ["minil"], [False]]
+        assert (exp.target_errors, exp.max_bits) == (200, 20_000_000)
 
     def test_malformed_line(self, tmp_path):
         p = write(tmp_path, "k 3\n")
@@ -245,6 +254,24 @@ class TestMain:
         rc = main(["--config", str(cfg), "--out", str(tmp_path / "out")])
         assert rc == 1
         assert "'0,5,nan'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text,args,message", [
+        ("snr_db =\n", [], "grid '' has no values"),
+        ("epsilon = ,\n", [], "grid ',' has no values"),
+        ("snr_db = 5:0:1\n", [], "grid '5:0:1' has no values"),
+        ("target_errors = 0\n", [], "target_errors"),
+        ("", ["--target-errors", "0"], "target_errors"),
+        ("", ["--max-bits", "-5"], "max_bits"),
+    ])
+    def test_bad_grid_or_stop_fails_before_output(self, tmp_path, capsys,
+                                                   text, args, message):
+        # Each used to be rejected only after the directory was made.
+        cfg = write(tmp_path, text)
+        rc = main(["--config", str(cfg), "--out", str(tmp_path / "out")]
+                  + args)
+        assert rc == 1
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_missing_file_exit_code(self, tmp_path, capsys):

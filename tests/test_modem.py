@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -257,6 +258,13 @@ class TestBerAwgnInstant:
         with pytest.raises(ValueError):
             ber_awgn_instant(2, -1.0)
 
+    @pytest.mark.parametrize("snr", [np.nan, [1.0, np.nan]])
+    def test_nan_snr_rejected(self, snr):
+        # nan < 0 is False, so a sign test alone let NaN through.
+        with pytest.raises(ValueError, match="post_snr"):
+            ber_awgn_instant(2, snr)
+        assert ber_awgn_instant(2, np.inf) == 0.0
+
 
 class TestMinilAvgBer:
     def test_qpsk_closed_reduction(self):
@@ -293,8 +301,21 @@ class TestMinilAvgBer:
         assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
         assert all(0 < v <= 0.5 for v in vals)
 
+    @pytest.mark.parametrize("p", [np.nan, np.inf, -np.inf])
+    def test_non_finite_power_rejected(self, p):
+        with pytest.raises(ValueError, match="power must be finite"):
+            minil_avg_ber(2, p)
+
 
 class TestSvdAvgBer:
+    @pytest.mark.parametrize("kp", [np.nan, np.inf, -np.inf])
+    def test_non_finite_power_rejected(self, kp):
+        # An infinite kp used to return NaN after a RuntimeWarning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="kp must be finite"):
+                svd_avg_ber(2, kp, 2, 2)
+
     def test_siso_reduces_to_rayleigh_average(self):
         # n_min = n_max = 1: one exponential eigenvalue at power KP
         for kp in (2.0, 20.0):

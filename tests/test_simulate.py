@@ -1,13 +1,15 @@
 import concurrent.futures
+import itertools
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import oracles
 from iasim import simulate
 from iasim.modem import minil_avg_ber
 from iasim.network import NetworkConfig
-from iasim.simulate import (FRAME_USES, _design, _sample_frames,
+from iasim.simulate import (FRAME_USES, RUN_MODES, _design, _sample_frames,
                             analytic_ber, check_mode_config, estimate_ber,
                             fig1_stats, run_frames, sweep)
 
@@ -158,8 +160,30 @@ class TestPhysicalLimits:
                               "adaptive", True)
 
     def test_unknown_mode_rejected(self, cfg):
-        with pytest.raises(ValueError, match="unknown mode"):
+        with pytest.raises(ValueError, match="unknown mode 'zf'; choose from"):
             run_frames(cfg, "zf", range(1))
+
+    def test_mode_check_matches_per_branch_oracle(self):
+        # The rate budgets accept and reject exactly the configurations
+        # the per-mode, per-loading branches did, and an uneven SVD-SM
+        # split still names divisibility.
+        def outcome(check, cfg, mode, loading):
+            try:
+                check(cfg, mode, loading)
+            except ValueError as exc:
+                return "divisible" if "divisible" in str(exc) else "rejected"
+            return "accepted"
+
+        seen = set()
+        for k, nt, nr, rate in itertools.product(range(1, 6), range(1, 5),
+                                                 range(1, 5), range(1, 9)):
+            cfg = NetworkConfig(k_pairs=k, nt=nt, nr=nr, rate_per_pair=rate)
+            for mode, loading in itertools.product(RUN_MODES, (False, True)):
+                want = outcome(oracles.check_mode_config, cfg, mode, loading)
+                assert outcome(check_mode_config, cfg, mode,
+                               loading) == want, (cfg, mode, loading)
+                seen.add(want)
+        assert seen == {"accepted", "rejected", "divisible"}
 
     @pytest.mark.parametrize("loading", [False, True])
     def test_nonfinite_design_rejected(self, loading, monkeypatch):
@@ -240,6 +264,14 @@ class TestEstimateBer:
 
 
 class TestFig1Stats:
+    @pytest.mark.parametrize("frames", [0, -1, 2.5])
+    def test_bad_frame_count_rejected(self, frames):
+        # Unchecked, zero frames gave NaN rows and a "Mean of empty
+        # slice" warning.
+        cfg = NetworkConfig(k_pairs=3, nt=3, nr=2, seed=21)
+        with pytest.raises(ValueError, match="frames"):
+            fig1_stats(cfg, [1.0], frames=frames)
+
     def test_rows_and_brackets(self):
         cfg = NetworkConfig(k_pairs=3, nt=3, nr=2, seed=21)
         rows = fig1_stats(cfg, [1.0, 100.0], frames=800)

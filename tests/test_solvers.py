@@ -36,8 +36,8 @@ def batched_leakage(k, u, v_all, h_row, powers):
     us = np.zeros((1, kk, len(u)), dtype=complex)
     us[0, k] = u
     sol = IaSolution(v=v_all[None], u=us, z=None, leakage=None, sinr=None,
-                     per_channel_power=None)
-    _, _, interference = evaluate_true_sinr(sol, h, powers)
+                     per_channel_power=powers)
+    _, _, interference = evaluate_true_sinr(sol, h)
     return interference[0, k]
 
 
