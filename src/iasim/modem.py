@@ -22,6 +22,8 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import erfc
 
+from .network import check_count
+
 
 MAX_BITS = 6  # 64-QAM: uint8 labels, validated BER forms
 
@@ -203,8 +205,7 @@ def minil_avg_ber(b, p: float, epsilon: float = 0.0,
         raise ValueError(f"power must be finite and positive, got {p}")
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("epsilon must lie in [0, 1]")
-    if k_users < 1:
-        raise ValueError("k_users must be >= 1")
+    check_count("k_users", k_users)
     w, sq, denom = _qam_terms(b)
     p_eff = p / (epsilon * (k_users - 1) * p + 1.0)
     beta = 6.0 * sq * p_eff / denom

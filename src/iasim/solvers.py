@@ -70,6 +70,9 @@ def _start(channels, powers, iterations, init_v):
     if v.shape != (f, k, nt):
         raise ValueError(f"init_v must be (F, K, nt) = {(f, k, nt)}, "
                          f"got {v.shape}")
+    for name, x in (("channels", h), ("init_v", v)):
+        if not np.isfinite(x).all():
+            raise ValueError(f"{name} must be finite")
     return h, _as_powers(powers, f, k), unit(v)
 
 

@@ -1,11 +1,13 @@
 """Reference versions of the engine's batched layers.
 
 Each function here is the frame-by-frame (or channel-by-channel, or
-einsum) form of a function in the package; the tests compare the two.
-The package matches them exactly, except the solver loop, which matches
-`alternate` to within rounding, the Max-SINR prediction, which sums in
-another order, and the mode check, which rejects the same cases with
-other messages.  None of them runs in the engine.
+einsum, or LAPACK) form of a function in the package; the tests compare
+the two.  The package matches them exactly, except the solver loop, which
+matches `alternate` to within rounding, the closed-form 3x3 kernels,
+which match `min_eigvec` and `solve_posdef` to within rounding, the
+Max-SINR prediction, which sums in another order, and the mode check,
+which rejects the same cases with other messages.  None of them runs in
+the engine.
 """
 
 import math
@@ -13,7 +15,7 @@ import math
 import numpy as np
 
 from iasim.bitload import check_rate_budget
-from iasim.linalg import unit
+from iasim.linalg import _fix_phase, unit
 from iasim.modem import MAX_BITS, ber_awgn_instant
 from iasim.simulate import MODE_ADAPTIVE, MODE_SVD, RUN_MODES
 from iasim.solvers import _offdiag_power, cross_gains
@@ -52,6 +54,17 @@ def draw_inits(cfg, rngs, n: int) -> np.ndarray:
         for j in range(n):
             inits[i, j] = unit(complex_normal(rng, (cfg.k_pairs, cfg.nt)))
     return inits
+
+
+def min_eigvec(a) -> np.ndarray:
+    """LAPACK's eigenvector of each matrix's smallest eigenvalue, with the
+    package's phase rule."""
+    return _fix_phase(np.linalg.eigh(a)[1][..., :, 0])
+
+
+def solve_posdef(b, x) -> np.ndarray:
+    """LAPACK's solution of b y = x for stacked matrices and vectors."""
+    return np.linalg.solve(b, np.asarray(x)[..., None])[..., 0]
 
 
 def constellation_geometry(b: int):

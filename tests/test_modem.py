@@ -306,6 +306,13 @@ class TestMinilAvgBer:
         with pytest.raises(ValueError, match="power must be finite"):
             minil_avg_ber(2, p)
 
+    @pytest.mark.parametrize("k_users", [float("nan"), 2.5, 0, True])
+    def test_bad_user_count_rejected(self, k_users):
+        # A bare `< 1` test let NaN through as a NaN BER and 2.5 through
+        # as a BER of a network that cannot exist.
+        with pytest.raises(ValueError, match="k_users"):
+            minil_avg_ber(2, 10.0, 0.1, k_users)
+
 
 class TestSvdAvgBer:
     @pytest.mark.parametrize("kp", [np.nan, np.inf, -np.inf])

@@ -210,11 +210,14 @@ class TestPhysicalLimits:
     @pytest.mark.parametrize("mode,loading", [("maxsinr", False),
                                               ("adaptive", True)])
     def test_max_sinr_finite_at_high_power(self, mode, loading, power):
-        # run_frames raises on a non-finite design; the 2x2 closed-form
-        # solve used to lose its determinant to cancellation here.
-        cfg = NetworkConfig(k_pairs=3, nt=2, nr=2, power_p=power, seed=0)
-        counts = run_frames(cfg, mode, range(200), loading=loading)
-        assert counts.shape[0] == 200
+        # run_frames raises on a non-finite design.  The 2x2 closed-form
+        # solve used to lose its determinant to cancellation here, and
+        # LAPACK's 3x3 solve called B = I + Q singular at 1e18.
+        for k, nt, nr in ((3, 2, 2), (4, 3, 2)):
+            cfg = NetworkConfig(k_pairs=k, nt=nt, nr=nr, power_p=power,
+                                seed=0)
+            counts = run_frames(cfg, mode, range(200), loading=loading)
+            assert counts.shape[0] == 200, cfg
 
 
 class TestEstimateBer:

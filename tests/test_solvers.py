@@ -330,6 +330,22 @@ class TestBadInput:
             solve(h, [1.0, power, 1.0], 5, v)
 
     @pytest.mark.parametrize("solve", [minil_solve_batch, maxsinr_solve_batch])
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_channels_or_init_rejected(self, solve, n, bad, rng):
+        # A NaN channel used to give NaN vectors with warnings on 2
+        # antennas, and make `eigh` raise LinAlgError on 3.
+        h = complex_normal(rng, (4, 3, 3, n, n))
+        v = unit(complex_normal(rng, (4, 3, n)))
+        h_bad, v_bad = h.copy(), v.copy()
+        h_bad[2, 1, 0, 0, n - 1] = bad
+        v_bad[1, 2, 0] = bad
+        with pytest.raises(ValueError, match="channels must be finite"):
+            solve(h_bad, 10.0, 5, v)
+        with pytest.raises(ValueError, match="init_v must be finite"):
+            solve(h, 10.0, 5, v_bad)
+
+    @pytest.mark.parametrize("solve", [minil_solve_batch, maxsinr_solve_batch])
     @pytest.mark.parametrize("iterations", [-3, 0, 2.5, True, "5"])
     def test_bad_iterations(self, batch, solve, iterations):
         h, v = batch
