@@ -125,9 +125,11 @@ def _min_eigvec_3x3(a: np.ndarray) -> np.ndarray:
 
     v, _ = _null_vector_3x3(d, a01, a02, a12, lam)
     # lam += v^H (A - lam I) v / v^H v; a zero v leaves lam in place.
+    # A v is summed elementwise, so its bits do not depend on a's layout.
     w = _abs2(v).sum(axis=-1)
-    lam = lam + (((v.conj() * (a @ v[..., None])[..., 0]).sum(axis=-1).real
-                  - lam * w) / np.maximum(w, _TINY))
+    av = sum(a[..., :, j] * v[..., j, None] for j in range(3))
+    lam = lam + (((v.conj() * av).sum(axis=-1).real - lam * w)
+                 / np.maximum(w, _TINY))
     v, n2 = _null_vector_3x3(d, a01, a02, a12, lam)
 
     fro2 = d[0]**2 + d[1]**2 + d[2]**2 + 2.0 * (o01 + o02 + o12)

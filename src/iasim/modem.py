@@ -11,7 +11,10 @@ real-axis level and the rest that of its imaginary-axis level.
 their XOR.  The closed forms cover: exact instantaneous BER on an AWGN
 link, the Rayleigh-faded average for the aligned-network equivalent
 channel (with and without transmitter-side channel uncertainty), and the
-eigenmode-averaged BER of SVD spatial multiplexing.
+eigenmode-averaged BER of SVD spatial multiplexing.  Everything but the
+uncertainty variant of the last is numpy-only: `erfc` is a port of the
+Cephes rational approximation, and scipy's quadrature is imported only
+where that variant needs it.
 """
 
 import math
@@ -19,13 +22,74 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import erfc
 
 from .network import check_count
 
 
 MAX_BITS = 6  # 64-QAM: uint8 labels, validated BER forms
+
+# Cephes `erf` and `erfc` (S. L. Moshier, "Methods and Programs for
+# Mathematical Functions", 1989; ndtr.c), the approximation that
+# scipy.special.erfc wraps.  Highest power first; the monic denominators'
+# leading 1 is left out.  erf(x) = x T(x^2) / U(x^2) for |x| <= 1, and
+# erfc(x) = e^-x^2 P(x) / Q(x) on [1, 8), e^-x^2 R(x) / S(x) from 8.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1,
+          2.23200534594684319226e3, 7.00332514112805075473e3,
+          5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2,
+          4.59432382970980127987e3, 2.26290000613890934246e4,
+          4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1,
+           7.46321056442269912687e0, 4.86371970985681366614e1,
+           1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3,
+           5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1,
+           3.54937778887819891062e2, 9.75708501743205489753e2,
+           1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0,
+           5.01905042251180477414e0, 6.16021097993053585195e0,
+           7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0,
+           1.20489539808096656605e1, 1.70814450747565897222e1,
+           9.60896809063285878198e0, 3.36907645100081516050e0)
+# log(DBL_MAX): beyond x^2 > MAXLOG, e^-x^2 underflows and erfc(x) is 0.
+_MAXLOG = 7.09782712893383996843e2
+
+
+def _horner(x, coefs, monic=False):
+    """Polynomial in x by Horner's rule, in Cephes' order of operations
+    (`polevl`, or `p1evl` for a monic one), updating one array in place."""
+    y = x + coefs[0] if monic else x * coefs[0] + coefs[1]
+    for c in coefs[1 if monic else 2:]:
+        y *= x
+        y += c
+    return y
+
+
+def erfc(x):
+    """Complementary error function, elementwise, as a float array.
+
+    Cephes' three ranges: 1 - erf(x) for |x| < 1, the P/Q fraction on
+    [1, 8) and R/S from 8, with 2 - erfc(|x|) for negative x.  Where
+    x^2 > MAXLOG it is exactly 0 (2 below zero); +-inf give 0 and 2, and
+    NaN stays NaN.
+    """
+    x = np.asarray(x, dtype=float)
+    a = np.abs(x)
+    # inf and overflowing x^2 make inf/inf here; the masks below set them.
+    with np.errstate(all="ignore"):
+        z = x * x
+        big = a >= 8.0
+        p = np.where(big, _horner(a, _ERFC_R), _horner(a, _ERFC_P))
+        q = np.where(big, _horner(a, _ERFC_S, True),
+                     _horner(a, _ERFC_Q, True))
+        y = np.exp(-z) * p / q
+        erf = x * _horner(z, _ERF_T) / _horner(z, _ERF_U, True)
+    y = np.where(z > _MAXLOG, 0.0, y)
+    y = np.where(x < 0, 2.0 - y, y)
+    return np.where(a < 1.0, 1.0 - erf, y)
 
 
 def qfunc(x):
@@ -172,17 +236,30 @@ def _qam_terms(b):
             i_side**2 + j_side**2 - 2)
 
 
+@lru_cache(maxsize=None, typed=True)
+def _distinct_squares(b):
+    """The distinct sq_t of `_qam_terms(b)` and each term's index into them."""
+    return np.unique(_qam_terms(b)[1], return_inverse=True)
+
+
 def ber_awgn_instant(b, post_snr):
     """Exact bit error rate of b-bit Gray QAM at the given symbol SNR.
 
     Vectorized over post_snr; reduces to Q(sqrt(snr)) for b = 2 (4-QAM).
+    Q is evaluated once per distinct square and gathered back to the term
+    axis, so each sum adds the same values in the same order as a
+    per-term evaluation.
     """
-    w, sq, denom = _qam_terms(b)
+    w, _, denom = _qam_terms(b)
+    sq, term = _distinct_squares(b)
     snr = np.asarray(post_snr, dtype=float)
     if not np.all(snr >= 0):
         raise ValueError("post_snr must be nonnegative")
     args = np.sqrt(6.0 * sq * snr[..., None] / denom)
-    out = (w * qfunc(args)).sum(axis=-1) / b
+    # take, not q[..., term]: fancy indexing would return the term axis
+    # strided, and the sum would then add in another order.
+    q = np.take(qfunc(args), term, axis=-1)
+    out = (w * q).sum(axis=-1) / b
     return out.item() if np.ndim(post_snr) == 0 else out
 
 
@@ -253,9 +330,16 @@ def _q_gamma_moment_shifted(j: int, beta: float, a: float) -> float:
     Equals int_0^inf t^j e^-t Q(sqrt(beta (t + a))) dt, the exact moment
     with every eigenvalue shifted by the uncertainty offset a; evaluated
     by adaptive quadrature and reducing to _q_gamma_moment as a -> 0.
+    The only use of scipy in the package, imported here so that nothing
+    else loads it.  The integrand keeps scipy's erfc, whose last bits the
+    pinned closed-form values were recorded with.
     """
+    from scipy.integrate import quad
+    from scipy.special import erfc as scipy_erfc
+
     val, _ = quad(
-        lambda t: t**j * math.exp(-t) * qfunc(math.sqrt(beta * (t + a))),
+        lambda t: t**j * math.exp(-t)
+        * (0.5 * scipy_erfc(math.sqrt(beta * (t + a)) / math.sqrt(2.0))),
         0.0, np.inf, epsabs=1e-15, epsrel=1e-11, limit=200)
     return val
 

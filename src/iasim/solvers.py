@@ -116,25 +116,28 @@ def _alternate(h, p, iterations, v, update, trace=None):
     hf[(f, l), j, (k, i)] = H_kl[i, j] and hr[(f, l), i, (k, j)] =
     conj(H_lk[i, j]), so a half-step's signals t[f, l, k] = H_kl v_l and
     s[f, l, k] = H_lk^H u_l are one row-times-matrix product per (f, l).
-    Node k's covariance sum_l w[f, l, k] t t^H, with w[f, l, k] = p[f, l]
+    Node k's covariance sum_l w[l, k, f] t t^H, with w[l, k, f] = p[f, l]
     and the own pair zeroed, is summed elementwise over l: as a matmul
-    it would cost one BLAS call per tiny matrix.
+    it would cost one BLAS call per tiny matrix.  It is built entry-major:
+    with the signals transposed once to (l, i, k, f), every entry q[i, j]
+    is a contiguous (K, F) block of an (n, n, K, F) sum over l, which
+    reaches `update` as its (F, K, n, n) view.
     """
     f, k, _, nr, nt = h.shape
     hf = h.transpose(0, 2, 4, 1, 3).reshape(f * k, nt, k * nr)
     hr = h.conj().transpose(0, 1, 3, 2, 4).reshape(f * k, nr, k * nt)
     diag = np.arange(k)
-    w = np.broadcast_to(p[:, :, None], (f, k, k)).copy()
-    w[:, diag, diag] = 0.0
+    w = np.broadcast_to(p.T[:, None, :], (k, k, f)).copy()
+    w[diag, diag] = 0.0
 
     def update_from(x, layout):
         """New vectors from x's signals t[f, l, k] at every node k."""
         t = (x.reshape(f * k, 1, -1) @ layout).reshape(f, k, k, -1)
-        wt = w[..., None] * t
-        tc = t.conj()
-        q = sum(wt[:, l, :, :, None] * tc[:, l, :, None, :]
-                for l in range(k))
-        return update(q, t[:, diag, diag])
+        tl = np.ascontiguousarray(t.transpose(1, 3, 2, 0))
+        wt = w[:, None] * tl
+        tc = tl.conj()
+        q = sum(wt[l, :, None] * tc[l] for l in range(k))
+        return update(q.transpose(3, 2, 0, 1), t[:, diag, diag])
 
     def record(u, v):
         if trace is not None:

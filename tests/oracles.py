@@ -1,19 +1,22 @@
 """Reference versions of the engine's batched layers.
 
 Each function here is the frame-by-frame (or channel-by-channel, or
-einsum, or LAPACK) form of a function in the package; the tests compare
-the two.  The package matches them exactly, except the solver loop, which
-matches `alternate` to within rounding, the closed-form 3x3 kernels,
-which match `min_eigvec` and `solve_posdef` to within rounding, the
-Max-SINR prediction, which sums in another order, and the mode check,
-which rejects the same cases with other messages.  None of them runs in
-the engine.
+einsum, or LAPACK, or scipy) form of a function in the package; the tests
+compare the two.  The package matches them exactly, except the solver
+loop, which matches `alternate` to within rounding, the closed-form 3x3
+kernels, which match `min_eigvec` and `solve_posdef` to within rounding,
+the Cephes port behind `modem.qfunc`, which matches `qfunc` to within
+rounding, the Max-SINR prediction, which sums in another order, and the
+mode check, which rejects the same cases with other messages.  None of
+them runs in the engine.
 """
 
 import math
 
 import numpy as np
+from scipy.special import erfc
 
+from iasim import modem
 from iasim.bitload import check_rate_budget
 from iasim.linalg import _fix_phase, unit
 from iasim.modem import MAX_BITS, ber_awgn_instant
@@ -65,6 +68,19 @@ def min_eigvec(a) -> np.ndarray:
 def solve_posdef(b, x) -> np.ndarray:
     """LAPACK's solution of b y = x for stacked matrices and vectors."""
     return np.linalg.solve(b, np.asarray(x)[..., None])[..., 0]
+
+
+def qfunc(x):
+    """Gaussian tail probability Q(x) through scipy's erfc."""
+    return 0.5 * erfc(np.asarray(x) / np.sqrt(2.0))
+
+
+def ber_awgn_per_term(b: int, post_snr):
+    """Exact b-bit QAM BER with the package's Q evaluated on every term."""
+    w, sq, denom = modem._qam_terms(b)
+    args = np.sqrt(6.0 * sq * np.asarray(post_snr, dtype=float)[..., None]
+                   / denom)
+    return (w * modem.qfunc(args)).sum(axis=-1) / b
 
 
 def constellation_geometry(b: int):

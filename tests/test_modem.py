@@ -266,6 +266,53 @@ class TestBerAwgnInstant:
         assert ber_awgn_instant(2, np.inf) == 0.0
 
 
+class TestQfuncPort:
+    # qfunc runs on the package's numpy port of Cephes erfc; scipy wraps
+    # the same approximation and is the oracle.  The erfc coordinate
+    # x / sqrt(2) crosses the port's range boundaries at 1 and 8 and
+    # underflows to 0 where its square passes MAXLOG (26.64).
+    EDGES = np.sqrt(2.0) * np.concatenate([
+        np.linspace(1.0 - 1e-6, 1.0 + 1e-6, 201),
+        np.linspace(8.0 - 1e-6, 8.0 + 1e-6, 201),
+        np.linspace(26.55, 26.65, 2001),
+    ])
+    GRID = np.concatenate([np.linspace(0.0, 40.0, 40001), EDGES])
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_matches_scipy(self, sign):
+        x = sign * self.GRID
+        got, want = qfunc(x), oracles.qfunc(x)
+        assert np.array_equal(got == 0, want == 0)
+        pos = want > 0
+        assert np.max(np.abs(got[pos] - want[pos]) / want[pos]) <= 1e-14
+        if sign > 0:
+            assert 0 < np.sum(want == 0) < len(x)
+
+    def test_special_values(self):
+        got = qfunc(np.array([np.nan, np.inf, -np.inf, 0.0, -0.0]))
+        assert np.isnan(got[0])
+        assert np.array_equal(got[1:], [0.0, 1.0, 0.5, 0.5])
+        assert np.isnan(qfunc(np.nan))
+        assert ber_awgn_instant(2, np.inf) == 0.0
+
+    def test_shapes(self):
+        assert qfunc(np.ones((2, 3))).shape == (2, 3)
+        assert np.ndim(qfunc(1.0)) == 0
+        assert float(qfunc(1.0)) == float(oracles.qfunc(1.0))
+
+    @pytest.mark.parametrize("b", range(1, 7))
+    def test_ber_equals_per_term_sum(self, b):
+        # Q is evaluated once per distinct argument; every sum must still
+        # add the per-term values in the per-term order.
+        snr = np.concatenate([[0.0], np.logspace(-3, 3.5, 400),
+                              [1e4, 1e6, 1e12, np.inf]])
+        for s in (snr, snr[:400].reshape(5, 80)):
+            assert np.array_equal(ber_awgn_instant(b, s),
+                                  oracles.ber_awgn_per_term(b, s))
+        for x in (0.0, 37.5, 1e6, np.inf):
+            assert ber_awgn_instant(b, x) == oracles.ber_awgn_per_term(b, x)
+
+
 class TestMinilAvgBer:
     def test_qpsk_closed_reduction(self):
         for p in (0.5, 1.0, 10.0, 1e3, 1e6):
