@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .network import NetworkConfig, check_count
 from .simulate import (MODE_ADAPTIVE, MODE_MAXSINR, MODE_MINIL, MODE_SVD,
-                       check_mode_config, fig1_stats, sweep)
+                       check_mode_config, fig1_stats, snr_power, sweep)
 
 # Integer config keys: those of the network, with the NetworkConfig field
 # each sets, and those of the stop rule.
@@ -136,6 +136,8 @@ def parse_config(path) -> Experiment:
 def validate_experiment(exp: Experiment):
     """Feasibility checks shared by config files and presets."""
     cfg = exp.cfg
+    for snr_db in exp.snr_db:
+        snr_power(snr_db)
     if not cfg.is_proper and any(
             m in (MODE_MINIL, MODE_MAXSINR, MODE_ADAPTIVE) for m in exp.modes):
         print(f"warning: nt + nr = {cfg.nt + cfg.nr} < K + 1 = "

@@ -1,12 +1,15 @@
 """Monte Carlo link-level engine.
 
-Each frame: draw a channel realization from its own counter-based
-substream, design transceivers (and bit allocations, when loading) from
-the transmitter-side estimates, push random data through the TRUE
-channels with unit-variance complex AWGN, and count bit errors after
-nearest-neighbor detection.  Residual cross-interference is physically
-present in the received samples; receivers equalize by the true effective
-scalar of their own stream only.
+A frame passes three stages.  Sample: draw a channel realization from
+the frame's own counter-based substream (_sample_frames).  Design: build
+transceivers, and bit allocations when loading, from the
+transmitter-side estimates (_design).  Transmit: push random data
+through the TRUE channels with unit-variance complex AWGN and count bit
+errors after nearest-neighbor detection (_transmit).  Residual
+cross-interference is physically present in the received samples;
+receivers equalize by the true effective scalar of their own stream
+only.  A cell's estimate runs frames in fixed chunks and applies its
+stop rule after each chunk (_estimates).
 
 Frames are independent, so any partitioning across workers reproduces
 the serial counts exactly.  A sweep runs every cell's chunks on one pool
@@ -15,6 +18,7 @@ of worker processes, opened once for the whole grid.
 
 import concurrent.futures
 import contextlib
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -176,7 +180,6 @@ class Design:
     loaded design and None for an unloaded one.
     """
 
-    mode: str
     rx: np.ndarray          # (F, n, nr)
     tx: np.ndarray          # (F, n, nt)
     pair: np.ndarray        # (F, n)
@@ -205,13 +208,6 @@ def _predicted(bits: np.ndarray, snr: np.ndarray, r: int) -> np.ndarray:
     return contrib.sum(axis=1) / r
 
 
-def _load(gains_sq: np.ndarray, kp: float, r: int):
-    """Greedy bits over channels of power gain gains_sq (at power KP/R
-    per bit), and each frame's predicted BER."""
-    bits = greedy_bitload_table(_ber_table(gains_sq, kp, r), r)
-    return bits, _predicted(bits, gains_sq * (kp / r) * bits, r)
-
-
 def _check_finite(mode: str, sol):
     """Reject a design with non-finite vectors before any frame uses it."""
     broken = ~(np.isfinite(sol.u).all(axis=(1, 2))
@@ -222,74 +218,70 @@ def _check_finite(mode: str, sol):
     return sol
 
 
-def _ia_design(cfg: NetworkConfig, mode: str, h_hat, init_v,
-               loading: bool) -> Design:
-    """MinIL or Max-SINR design, one stream per pair."""
-    f, k = h_hat.shape[:2]
-    kp = k * cfg.power_p
-    r = cfg.total_rate
-    solve = minil_solve_batch if mode == MODE_MINIL else maxsinr_solve_batch
-    sol = _check_finite(mode, solve(h_hat, cfg.power_p, cfg.iterations,
-                                    init_v))
-    pair = np.broadcast_to(np.arange(k), (f, k))
-    if not loading:
-        return Design(mode, sol.u, sol.v, pair,
-                      np.full((f, k), cfg.rate_per_pair),
-                      np.full((f, k), float(cfg.power_p)))
-    if mode == MODE_MINIL:
-        # Alignment is power-scale invariant, so MinIL keeps its design.
-        bits, predicted = _load(np.abs(sol.z) ** 2, kp, r)
-    else:
-        bits = greedy_bitload_table(
-            _ber_table(sol.sinr / cfg.power_p, kp, r), r)
-        # One re-design pass under the loaded powers, warm-started; the
-        # prediction then uses the final SINRs.
-        sol = _check_finite(mode, maxsinr_solve_batch(
-            h_hat, kp / r * bits, cfg.iterations, sol.v))
-        predicted = _predicted(bits, sol.sinr, r)
-    return Design(mode, sol.u, sol.v, pair, bits, kp / r * bits, predicted)
+def _stream_design(cfg: NetworkConfig, mode: str, h_hat, active, init_v,
+                   loading: bool) -> Design:
+    """One fixed mode's design from the estimates h_hat, loaded or not.
 
-
-def _svd_design(cfg: NetworkConfig, h_hat, active, loading: bool) -> Design:
-    """SVD-SM over the eigenmodes of each frame's active direct channel
-    estimate, at network power KP."""
-    f = len(active)
-    n = cfg.n_min
+    MinIL and Max-SINR solve from init_v and send one stream per pair at
+    power P; SVD-SM sends n_min streams over the eigenmodes of each
+    frame's active direct estimate at power KP / n_min.  Unloaded, every
+    stream carries R / n bits.  Loaded, greedy bits go on the channels'
+    power gains at power KP/R per bit: |z|^2 for MinIL (alignment is
+    power-scale invariant, so MinIL keeps its design), SINR/P for
+    Max-SINR and sigma^2 for SVD-SM.  Max-SINR is then re-designed once
+    under the loaded powers, warm-started, and predicts from its final
+    SINRs.
+    """
+    f = len(h_hat)
     kp = cfg.k_pairs * cfg.power_p
     r = cfg.total_rate
-    u, s, vh = np.linalg.svd(h_hat[np.arange(f), active, active])
-    rx = u[..., :n].swapaxes(1, 2)
-    tx = vh[:, :n].conj()
-    pair = np.repeat(active[:, None], n, axis=1)
+    if mode == MODE_SVD:
+        n, power = cfg.n_min, kp / cfg.n_min
+        u, s, vh = np.linalg.svd(h_hat[np.arange(f), active, active])
+        rx, tx = u[..., :n].swapaxes(1, 2), vh[:, :n].conj()
+        pair = np.repeat(active[:, None], n, axis=1)
+        gains_sq = s[:, :n] ** 2
+    else:
+        n, power = cfg.k_pairs, float(cfg.power_p)
+        solve = (minil_solve_batch if mode == MODE_MINIL
+                 else maxsinr_solve_batch)
+        sol = _check_finite(mode, solve(h_hat, cfg.power_p, cfg.iterations,
+                                        init_v))
+        rx, tx = sol.u, sol.v
+        pair = np.broadcast_to(np.arange(n), (f, n))
+        gains_sq = (np.abs(sol.z) ** 2 if mode == MODE_MINIL
+                    else sol.sinr / cfg.power_p)
     if not loading:
-        return Design(MODE_SVD, rx, tx, pair, np.full((f, n), r // n),
-                      np.full((f, n), kp / n))
-    bits, predicted = _load(s[:, :n] ** 2, kp, r)
-    return Design(MODE_SVD, rx, tx, pair, bits, kp / r * bits, predicted)
+        return Design(rx, tx, pair, np.full((f, n), r // n),
+                      np.full((f, n), power))
+    bits = greedy_bitload_table(_ber_table(gains_sq, kp, r), r)
+    snr = gains_sq * (kp / r) * bits
+    if mode == MODE_MAXSINR:
+        sol = _check_finite(mode, maxsinr_solve_batch(
+            h_hat, kp / r * bits, cfg.iterations, sol.v))
+        rx, tx, snr = sol.u, sol.v, sol.sinr
+    return Design(rx, tx, pair, bits, kp / r * bits, _predicted(bits, snr, r))
 
 
 def _design(cfg: NetworkConfig, mode: str, loading: bool, rngs, h_hat,
             active) -> tuple[list, np.ndarray]:
     """Designs from transmitter-side knowledge, and each frame's pick.
 
-    A fixed mode returns its one design and picks it for every frame.
-    Adaptive returns the loaded Max-SINR, SVD-SM and MinIL designs and
-    picks, per frame, the one with the lowest predicted BER; argmin keeps
-    the first of equal values, so ties go in that order.  Adaptive draws
-    MinIL's precoder initialisation before Max-SINR's.
+    The design stage of a frame, after its channels are sampled and
+    before its data is transmitted.  A fixed mode returns its one design
+    and picks it for every frame.  Adaptive returns the loaded Max-SINR,
+    SVD-SM and MinIL designs and picks, per frame, the one with the
+    lowest predicted BER; argmin keeps the first of equal values, so ties
+    go in that order.
     """
     adaptive = mode == MODE_ADAPTIVE
     modes = (MODE_MAXSINR, MODE_SVD, MODE_MINIL) if adaptive else (mode,)
-    loading = loading or adaptive
-    inits = _draw_inits(cfg, rngs,
-                        (MODE_MINIL in modes) + (MODE_MAXSINR in modes))
-    designs = []
-    for m in modes:
-        if m == MODE_SVD:
-            designs.append(_svd_design(cfg, h_hat, active, loading))
-        else:
-            init_v = inits[:, 0] if m == MODE_MINIL else inits[:, -1]
-            designs.append(_ia_design(cfg, m, h_hat, init_v, loading))
+    # Each aligned mode draws one precoder initialisation, MinIL's first.
+    drawn = [m for m in (MODE_MINIL, MODE_MAXSINR) if m in modes]
+    inits = _draw_inits(cfg, rngs, len(drawn))
+    init_of = {m: inits[:, j] for j, m in enumerate(drawn)}
+    designs = [_stream_design(cfg, m, h_hat, active, init_of.get(m),
+                              loading or adaptive) for m in modes]
     if adaptive:
         pick = np.argmin(np.stack([d.predicted for d in designs]), axis=0)
     else:
@@ -343,59 +335,71 @@ def _run_range(args):
     return counts.sum(axis=1)
 
 
+def snr_power(snr_db: float) -> float:
+    """Per-transmitter linear power P of an SNR in dB.
+
+    Raises ValueError unless P is finite and positive: a finite dB value
+    can still overflow to inf or underflow to 0.
+    """
+    try:
+        p = 10.0 ** (float(snr_db) / 10.0)
+    except OverflowError:
+        p = math.inf
+    if not (math.isfinite(p) and p > 0):
+        raise ValueError(f"snr_db {snr_db} gives power_p {p}, not a finite "
+                         "positive power")
+    return p
+
+
 def _cell_config(cfg: NetworkConfig, mode: str, snr_db: float,
                  loading: bool) -> NetworkConfig:
     """cfg at the cell's SNR, checked against the mode before any frame."""
-    cfg = replace(cfg, power_p=10.0 ** (snr_db / 10.0))
+    cfg = replace(cfg, power_p=snr_power(snr_db))
     check_mode_config(cfg, mode, loading)
     return cfg
 
 
-def _estimate(run, workers: int, cfg: NetworkConfig, mode: str,
-              loading: bool, target_errors: int, max_bits: int,
-              chunk_frames: int) -> BerEstimate:
-    """estimate_ber's chunk loop and stop rule, mapping with `run`.
-
-    Each chunk is split into `workers` frame ranges, and the stop rule is
-    applied after the whole chunk is back.  Pool workers fork at the
-    pool's first submit, which is made here.
-    """
-    per_frame = []
-    bits = errors = 0
-    start = 0
-    while errors < target_errors and bits < max_bits:
-        stop = start + chunk_frames
-        bounds = np.linspace(start, stop, workers + 1, dtype=int)
-        jobs = [(cfg, mode, int(a), int(b), loading)
-                for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
-        chunk = np.vstack(list(run(_run_range, jobs)))
-        per_frame.append(chunk)
-        bits += int(chunk[:, 0].sum())
-        errors += int(chunk[:, 1].sum())
-        start = stop
-    frames = np.vstack(per_frame)
-    p_hat = errors / bits
-    resid = frames[:, 1] - p_hat * frames[:, 0]
-    ratio_var = float((resid**2).sum() / bits**2)
-    return BerEstimate(bits_sent=bits, bit_errors=errors,
-                       ratio_var=ratio_var)
-
-
 def _estimates(cells, workers: int, target_errors: int, max_bits: int,
                chunk_frames: int) -> list:
-    """_estimate of each checked (cfg, mode, loading) cell, in order.
+    """BER estimate of each checked (cfg, mode, loading) cell, in order.
 
+    A cell runs chunks of chunk_frames frames until it has target_errors
+    errors or max_bits bits.  Each chunk is split into `workers` frame
+    ranges, and the stop rule is applied after the whole chunk is back.
     One worker maps with builtin map; more share one pool of `workers`
-    processes for all the cells.  The pool class is looked up at call
-    time, so a profiler that swaps concurrent.futures.ProcessPoolExecutor
-    sees every pool.
+    processes for all the cells, which fork at its first submit.  The
+    pool class is looked up at call time, so a profiler that swaps
+    concurrent.futures.ProcessPoolExecutor sees every pool.  The
+    confidence interval is cluster-robust over frames, since all the bits
+    of one frame share a channel draw.
     """
+    check_count("target_errors", target_errors)
+    check_count("max_bits", max_bits)
+    check_count("chunk_frames", chunk_frames)
+    check_count("workers", workers)
+    ests = []
     with contextlib.ExitStack() as stack:
         run = map if workers == 1 else stack.enter_context(
             concurrent.futures.ProcessPoolExecutor(workers)).map
-        return [_estimate(run, workers, cfg, mode, loading, target_errors,
-                          max_bits, chunk_frames)
-                for cfg, mode, loading in cells]
+        for cfg, mode, loading in cells:
+            per_frame = []
+            bits = errors = start = 0
+            while errors < target_errors and bits < max_bits:
+                stop = start + chunk_frames
+                bounds = np.linspace(start, stop, workers + 1, dtype=int)
+                jobs = [(cfg, mode, int(a), int(b), loading)
+                        for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
+                chunk = np.vstack(list(run(_run_range, jobs)))
+                per_frame.append(chunk)
+                bits += int(chunk[:, 0].sum())
+                errors += int(chunk[:, 1].sum())
+                start = stop
+            frames = np.vstack(per_frame)
+            resid = frames[:, 1] - errors / bits * frames[:, 0]
+            ratio_var = float((resid**2).sum() / bits**2)
+            ests.append(BerEstimate(bits_sent=bits, bit_errors=errors,
+                                    ratio_var=ratio_var))
+    return ests
 
 
 def estimate_ber(cfg: NetworkConfig, mode: str, snr_db: float,
@@ -408,13 +412,8 @@ def estimate_ber(cfg: NetworkConfig, mode: str, snr_db: float,
     chunk_frames) regardless of worker count: stopping is evaluated at
     fixed chunk boundaries and every frame's counts depend only on its
     own substream.  With workers > 1 the chunks run on one pool opened
-    for this call.  The confidence interval is cluster-robust over
-    frames, since all the bits of one frame share a channel draw.
+    for this call.  Equals the one-cell sweep at the same stop rule.
     """
-    check_count("target_errors", target_errors)
-    check_count("max_bits", max_bits)
-    check_count("chunk_frames", chunk_frames)
-    check_count("workers", workers)
     cfg = _cell_config(cfg, mode, snr_db, loading)
     return _estimates([(cfg, mode, loading)], workers, target_errors,
                       max_bits, chunk_frames)[0]
@@ -454,7 +453,7 @@ def analytic_ber(cfg: NetworkConfig, mode: str, snr_db: float,
     """Closed-form average BER where one exists (unloaded MinIL / SVD-SM)."""
     if loading or mode not in (MODE_MINIL, MODE_SVD):
         return None
-    p = 10.0 ** (snr_db / 10.0)
+    p = snr_power(snr_db)
     if mode == MODE_MINIL:
         return minil_avg_ber(cfg.rate_per_pair, p, cfg.epsilon, cfg.k_pairs)
     if cfg.epsilon >= 1.0:
@@ -472,9 +471,6 @@ def sweep(cfg: NetworkConfig, snr_grid, eps_grid, modes, loading_flags,
     cells' chunks then run on one pool of `workers` processes; the
     counts equal the serial ones.
     """
-    check_count("target_errors", target_errors)
-    check_count("max_bits", max_bits)
-    check_count("workers", workers)
     snr_grid = list(snr_grid)
     eps_grid = list(eps_grid)
     modes = list(modes)

@@ -191,7 +191,10 @@ def alternate(h, p, iterations, v, update, trace=None):
 
     The package's loop sums in another order, so its designs agree with
     these to within rounding, not bit for bit; error counts are held by
-    the benchmark's fingerprint instead.
+    the benchmark's fingerprint instead.  Where a node's smallest
+    eigenvalue is repeated, rounding picks its vector within the
+    eigenspace, so there the vectors agree only while both loops feed
+    bit-identical covariances to the kernels.
 
     Each iteration sets every combiner from its forward interference
     covariance, then every precoder from its covariance in the reciprocal

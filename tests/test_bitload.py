@@ -8,8 +8,9 @@ from iasim.bitload import greedy_bitload_table
 from iasim.linalg import unit
 from iasim.modem import MAX_BITS, ber_awgn_instant
 from iasim.network import NetworkConfig, complex_normal
-from iasim.simulate import (Design, _ber_table, _design, _load,
-                            _sample_frames, _stream_gains)
+from iasim.simulate import (Design, _ber_table, _design, _sample_frames,
+                            _stream_design, _stream_gains)
+from iasim.solvers import IaSolution
 from oracles import greedy_bitload, sinr_prediction, table_prediction
 
 
@@ -167,10 +168,18 @@ class TestLoadIa:
         assert design.predicted[0] == pytest.approx(
             weighted_ber(bits, ber_of, cfg.total_rate))
 
-    def test_load_minil_equal_gains_uniform(self, cfg):
-        bits, _ = _load(np.ones((1, 3)), cfg.k_pairs * cfg.power_p,
-                        cfg.total_rate)
-        assert list(bits[0]) == [2, 2, 2]
+    def test_load_minil_equal_gains_uniform(self, cfg, monkeypatch):
+        # A MinIL solution whose direct gains z are all 1.
+        def solve(h, powers, iterations, init_v):
+            return IaSolution(v=init_v, u=np.ones((1, 3, 2)),
+                              z=np.ones((1, 3)), leakage=None, sinr=None,
+                              per_channel_power=None)
+
+        monkeypatch.setattr(simulate, "minil_solve_batch", solve)
+        _, h_hat, _ = _sample_frames(cfg, [0])
+        design = _stream_design(cfg, "minil", h_hat, np.zeros(1, dtype=int),
+                                np.ones((1, 3, 2)), True)
+        assert list(design.bits[0]) == [2, 2, 2]
 
     def test_load_svd_rank_one_beamforms(self, cfg, rng):
         u = complex_normal(rng, 2)[:, None]
@@ -290,37 +299,36 @@ class TestSelectMode:
                              rate_per_pair=2, seed=5)
 
     def pick(self, cfg, monkeypatch, minil, maxsinr, svd):
-        """The engine's adaptive pick when the loaded designs predict the
-        given BERs."""
+        """The mode and design of the engine's adaptive pick when the
+        loaded designs predict the given BERs."""
         preds = {"minil": minil, "maxsinr": maxsinr, "svd": svd}
+        designed = []
 
-        def fake(mode):
-            return Design(mode, None, None, None, np.array([[2, 2, 2]]),
+        def fake(cfg, mode, *args):
+            designed.append(mode)
+            return Design(None, None, None, np.array([[2, 2, 2]]),
                           np.array([[10.0, 10.0, 10.0]]),
                           np.array([preds[mode]]))
 
-        monkeypatch.setattr(simulate, "_ia_design",
-                            lambda cfg, mode, *args: fake(mode))
-        monkeypatch.setattr(simulate, "_svd_design",
-                            lambda *args: fake("svd"))
+        monkeypatch.setattr(simulate, "_stream_design", fake)
         rngs, h_hat, _ = _sample_frames(cfg, [0])
         designs, pick = _design(cfg, "adaptive", True, rngs, h_hat,
                                 np.zeros(1, dtype=int))
-        return designs[pick[0]]
+        return designed[pick[0]], designs[pick[0]]
 
     def test_lowest_wins(self, cfg, monkeypatch):
-        d = self.pick(cfg, monkeypatch, 0.0, 0.1, 0.2)
-        assert d.mode == "minil" and d.predicted[0] == 0.0
-        assert self.pick(cfg, monkeypatch, 0.3, 0.1, 0.2).mode == "maxsinr"
-        assert self.pick(cfg, monkeypatch, 0.3, 0.25, 0.2).mode == "svd"
+        mode, d = self.pick(cfg, monkeypatch, 0.0, 0.1, 0.2)
+        assert mode == "minil" and d.predicted[0] == 0.0
+        assert self.pick(cfg, monkeypatch, 0.3, 0.1, 0.2)[0] == "maxsinr"
+        assert self.pick(cfg, monkeypatch, 0.3, 0.25, 0.2)[0] == "svd"
 
     def test_three_way_tie_prefers_maxsinr(self, cfg, monkeypatch):
-        d = self.pick(cfg, monkeypatch, 0.05, 0.05, 0.05)
-        assert d.mode == "maxsinr"
+        mode, _ = self.pick(cfg, monkeypatch, 0.05, 0.05, 0.05)
+        assert mode == "maxsinr"
 
     def test_two_way_tie_prefers_svd_over_minil(self, cfg, monkeypatch):
-        d = self.pick(cfg, monkeypatch, 0.05, 0.09, 0.05)
-        assert d.mode == "svd"
+        mode, _ = self.pick(cfg, monkeypatch, 0.05, 0.09, 0.05)
+        assert mode == "svd"
 
     def test_decision_carries_allocation(self, cfg):
         # On live designs each frame picks its lowest prediction, and the

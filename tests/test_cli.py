@@ -256,6 +256,17 @@ class TestMain:
         assert "'0,5,nan'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("snr_db", ["4000", "-4000"])
+    def test_snr_beyond_float_power_fails_before_output(self, tmp_path,
+                                                        capsys, snr_db):
+        # Finite in dB, but 10^(snr/10) overflows to inf or underflows to 0.
+        cfg = write(tmp_path, f"snr_db = {snr_db}\nmax_bits = 2000\n")
+        rc = main(["--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: snr_db") and "power_p" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("text,args,message", [
         ("snr_db =\n", [], "grid '' has no values"),
         ("epsilon = ,\n", [], "grid ',' has no values"),

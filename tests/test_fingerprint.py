@@ -1,4 +1,4 @@
-"""Each benchmark workload at seed 0 reproduces its recorded counts.
+"""Each benchmark workload reproduces its recorded counts at every seed.
 
 The benchmark's fingerprint holds every cell's (bits, errors) and the
 sweep CSV's SHA-256.  Any change to the per-frame draw order, the designs
@@ -17,10 +17,20 @@ import workloads  # noqa: E402
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
-def test_seed0_matches_fingerprint(name, tmp_path):
+def test_every_seed_matches_fingerprint(name, tmp_path):
+    # Each workload runs with its own worker count: the sweep's two
+    # workers against its serial recording also check that counts do not
+    # depend on the worker count.
     wl = workloads.WORKLOADS[name]
-    rep = workloads.run_rep(wl, 0, tmp_path, workers=1)
-    assert fingerprint.check_rep(wl, 0, rep, fingerprint.load()) == {}
+    golden = fingerprint.load()
+    seeds = sorted(int(seed) for seed in golden[name])
+    assert seeds == list(range(20))
+    failed = {}
+    for seed in seeds:
+        rep = workloads.run_rep(wl, seed, tmp_path / str(seed))
+        failed.update({f"seed {seed}: {key}": why for key, why in
+                       fingerprint.check_rep(wl, seed, rep, golden).items()})
+    assert failed == {}
 
 
 def test_sensitive_seed_matches_fingerprint(tmp_path):
@@ -28,6 +38,7 @@ def test_sensitive_seed_matches_fingerprint(tmp_path):
     # elementwise sums over the channel array moved cell
     # adaptive+load/K3-2x2/eps0/snr5 from 4230 to 4229 errors at seed 9,
     # while seed 0 still matched: a change of rounding can move a count.
+    # The recording is serial, and so is this run.
     wl = workloads.WORKLOADS["loaded_sweep"]
     rep = workloads.run_rep(wl, 9, tmp_path, workers=1)
     assert fingerprint.check_rep(wl, 9, rep, fingerprint.load()) == {}

@@ -232,6 +232,14 @@ class TestEstimateBer:
         with pytest.raises(ValueError, match="power_p"):
             estimate_ber(cfg, "minil", snr_db, max_bits=1)
 
+    @pytest.mark.parametrize("snr_db", [4000.0, -4000.0])
+    def test_snr_beyond_float_power_rejected(self, cfg, no_frames, snr_db):
+        # Finite in dB, but 10^(snr/10) overflows to inf or underflows to 0.
+        with pytest.raises(ValueError, match="power_p"):
+            estimate_ber(cfg, "minil", snr_db, max_bits=1)
+        with pytest.raises(ValueError, match="power_p"):
+            analytic_ber(cfg, "minil", snr_db, False)
+
     @pytest.mark.parametrize("arg", ["chunk_frames", "target_errors",
                                      "max_bits"])
     def test_nonpositive_stop_argument_rejected(self, cfg, arg):
@@ -320,6 +328,25 @@ class TestSweep:
         assert len(pools) == 1
         assert [row["bits"] for row in serial] == [2 * 400 * 600] * 4
         assert parallel == serial
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_estimate_equals_one_cell_sweep(self, cfg, workers):
+        # Both run the same chunk loop: three 400-frame chunks to the cap.
+        stop = dict(target_errors=10**9, max_bits=2 * 400 * 600 + 1,
+                    workers=workers)
+        est = estimate_ber(cfg, "maxsinr", 5.0, loading=True, **stop)
+        (row,) = sweep(cfg, [5.0], [cfg.epsilon], ["maxsinr"], [True],
+                       **stop)
+        assert est.bits_sent == 3 * 400 * 600
+        assert (row["bits"], row["errors"], row["ber"], row["ci95"]) == (
+            est.bits_sent, est.bit_errors, est.estimate, est.ci95)
+
+    @pytest.mark.parametrize("snr_db", [4000.0, -4000.0])
+    def test_snr_beyond_float_power_fails_before_any_frame(
+            self, cfg, pools, no_frames, snr_db):
+        with pytest.raises(ValueError, match="power_p"):
+            sweep(cfg, [0.0, snr_db], [0.0], ["minil"], [False], workers=2)
+        assert pools == []
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_bad_last_cell_fails_before_any_frame(self, cfg, pools,

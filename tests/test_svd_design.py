@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from iasim.network import NetworkConfig, complex_normal, substream
-from iasim.simulate import _design, _stream_gains
+from iasim.network import NetworkConfig, complex_normal
+from iasim.simulate import _stream_design, _stream_gains
 
 
 def sm_design(direct):
@@ -14,8 +14,8 @@ def sm_design(direct):
     nr, nt = direct.shape
     cfg = NetworkConfig(k_pairs=1, nt=nt, nr=nr, rate_per_pair=min(nt, nr))
     h = direct[None, None, None]
-    (design,), _ = _design(cfg, "svd", False, substream(0, [0]), h,
-                           np.zeros(1, dtype=int))
+    design = _stream_design(cfg, "svd", h, np.zeros(1, dtype=int), None,
+                            False)
     return design, _stream_gains(h, design, np.arange(1))[0]
 
 
