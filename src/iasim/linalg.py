@@ -9,9 +9,9 @@ sizes go to LAPACK via numpy.
 import numpy as np
 
 _TINY = 1e-300
-# A 3x3 matrix whose null-vector candidate for its smallest eigenvalue has
-# a squared norm at or below this times ||A||_F^4 has a near-degenerate
-# spectrum: rounding sets that vector's direction, so `eigh` takes it.
+# A 3x3 matrix whose null-vector candidate for its smallest eigenvalue (of
+# either pass) has a squared norm at or below this times ||A||_F^4 has a
+# near-degenerate spectrum: rounding sets that vector, so `eigh` takes it.
 _DEGENERATE_3X3 = 1e-6
 
 
@@ -109,8 +109,8 @@ def _min_eigvec_3x3(a: np.ndarray) -> np.ndarray:
     largest cross product of two rows of A - lam I.  That root loses
     accuracy as the two smallest eigenvalues approach each other, so the
     Rayleigh quotient of the first vector gives lam again and the vector
-    is formed once more.  Near-degenerate spectra, the identity and the
-    zero matrix among them, go to `eigh`.
+    is formed once more.  Near-degenerate spectra (the identity, the zero
+    matrix, rank one: the step can move lam off a double root) go to `eigh`.
     """
     d = tuple(a[..., i, i].real for i in range(3))
     a01, a02, a12 = a[..., 0, 1], a[..., 0, 2], a[..., 1, 2]
@@ -123,7 +123,7 @@ def _min_eigvec_3x3(a: np.ndarray) -> np.ndarray:
     r = np.clip(det / np.maximum(2.0 * p**3, _TINY), -1.0, 1.0)
     lam = mean + 2.0 * p * np.cos(np.arccos(r) / 3.0 + 2.0 * np.pi / 3.0)
 
-    v, _ = _null_vector_3x3(d, a01, a02, a12, lam)
+    v, n1 = _null_vector_3x3(d, a01, a02, a12, lam)
     # lam += v^H (A - lam I) v / v^H v; a zero v leaves lam in place.
     # A v is summed elementwise, so its bits do not depend on a's layout.
     w = _abs2(v).sum(axis=-1)
@@ -133,7 +133,7 @@ def _min_eigvec_3x3(a: np.ndarray) -> np.ndarray:
     v, n2 = _null_vector_3x3(d, a01, a02, a12, lam)
 
     fro2 = d[0]**2 + d[1]**2 + d[2]**2 + 2.0 * (o01 + o02 + o12)
-    bad = n2 <= _DEGENERATE_3X3 * fro2**2
+    bad = np.minimum(n1, n2) <= _DEGENERATE_3X3 * fro2**2
     if np.any(bad):
         v[bad] = np.linalg.eigh(a[bad])[1][..., :, 0]
     return v

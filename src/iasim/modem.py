@@ -30,13 +30,14 @@ MAX_BITS = 6  # 64-QAM: uint8 labels, validated BER forms
 
 # Cephes `erf` and `erfc` (S. L. Moshier, "Methods and Programs for
 # Mathematical Functions", 1989; ndtr.c), the approximation that
-# scipy.special.erfc wraps.  Highest power first; the monic denominators'
-# leading 1 is left out.  erf(x) = x T(x^2) / U(x^2) for |x| <= 1, and
-# erfc(x) = e^-x^2 P(x) / Q(x) on [1, 8), e^-x^2 R(x) / S(x) from 8.
+# scipy.special.erfc wraps.  Highest power first, the monic denominators'
+# leading 1.0 included: x * 1.0 + c is x + c exactly.  erf(x) =
+# x T(x^2) / U(x^2) for |x| <= 1, and erfc(x) = e^-x^2 P(x) / Q(x) on
+# [1, 8), e^-x^2 R(x) / S(x) from 8.
 _ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1,
           2.23200534594684319226e3, 7.00332514112805075473e3,
           5.55923013010394962768e4)
-_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2,
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2,
           4.59432382970980127987e3, 2.26290000613890934246e4,
           4.92673942608635921086e4)
 _ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1,
@@ -44,25 +45,25 @@ _ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1,
            1.96520832956077098242e2, 5.26445194995477358631e2,
            9.34528527171957607540e2, 1.02755188689515710272e3,
            5.57535335369399327526e2)
-_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1,
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1,
            3.54937778887819891062e2, 9.75708501743205489753e2,
            1.82390916687909736289e3, 2.24633760818710981792e3,
            1.65666309194161350182e3, 5.57535340817727675546e2)
 _ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0,
            5.01905042251180477414e0, 6.16021097993053585195e0,
            7.40974269950448939160e0, 2.97886665372100240670e0)
-_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0,
+_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0,
            1.20489539808096656605e1, 1.70814450747565897222e1,
            9.60896809063285878198e0, 3.36907645100081516050e0)
 # log(DBL_MAX): beyond x^2 > MAXLOG, e^-x^2 underflows and erfc(x) is 0.
 _MAXLOG = 7.09782712893383996843e2
 
 
-def _horner(x, coefs, monic=False):
+def _horner(x, coefs):
     """Polynomial in x by Horner's rule, in Cephes' order of operations
-    (`polevl`, or `p1evl` for a monic one), updating one array in place."""
-    y = x + coefs[0] if monic else x * coefs[0] + coefs[1]
-    for c in coefs[1 if monic else 2:]:
+    (`polevl`, and `p1evl` for a monic one), updating one array in place."""
+    y = x * coefs[0] + coefs[1]
+    for c in coefs[2:]:
         y *= x
         y += c
     return y
@@ -83,10 +84,9 @@ def erfc(x):
         z = x * x
         big = a >= 8.0
         p = np.where(big, _horner(a, _ERFC_R), _horner(a, _ERFC_P))
-        q = np.where(big, _horner(a, _ERFC_S, True),
-                     _horner(a, _ERFC_Q, True))
+        q = np.where(big, _horner(a, _ERFC_S), _horner(a, _ERFC_Q))
         y = np.exp(-z) * p / q
-        erf = x * _horner(z, _ERF_T) / _horner(z, _ERF_U, True)
+        erf = x * _horner(z, _ERF_T) / _horner(z, _ERF_U)
     y = np.where(z > _MAXLOG, 0.0, y)
     y = np.where(x < 0, 2.0 - y, y)
     return np.where(a < 1.0, 1.0 - erf, y)

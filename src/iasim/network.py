@@ -172,31 +172,53 @@ def substream(seed: int, indices) -> list:
     SeedSequence(entropy=seed, spawn_key=(i,)), so any partitioning of
     frames across workers reproduces the serial draw sequence bit-exactly.
     The keys of the whole batch are derived in one vectorised pass of
-    SeedSequence's hash.  Each frame's generator then makes one call per
-    draw kind, in the order h_hat, w, precoder inits, data bits, noise.
+    SeedSequence's hash.  Each frame's generator then makes three calls:
+    one standard_normal for h_hat, w and the precoder inits, one
+    random_raw for the data bits, and one standard_normal for the noise.
     """
     indices = [operator.index(i) for i in indices]
     return [np.random.Generator(np.random.Philox(_PhiloxKey(key)))
             for key in _philox_keys(seed, indices)]
 
 
-def complex_normal(rng, shape) -> np.ndarray:
-    """Circularly-symmetric complex Gaussian, unit variance per entry.
+def complex_normal(rng, *shapes):
+    """Circularly-symmetric complex Gaussians, unit variance per entry.
 
-    `rng` is one generator, giving an array of `shape`, or a sequence of
-    F per-frame generators, giving (F,) + shape with row f drawn from
-    rngs[f].  Each generator makes one standard_normal call: the real
-    parts, then the imaginary parts.  Scaling by 1/sqrt(2) gives the same
-    bits as dividing the complex draw by sqrt(2).
+    `rng` is one generator, giving an array of each shape, or F per-frame
+    generators, giving (F,) + shape arrays with row f from rng[f].  Each
+    generator makes one standard_normal call: each shape's real parts,
+    then its imaginary parts, shape by shape, as one call per shape would
+    draw them.  One shape returns one array, several a list.  Scaling by
+    1/sqrt(2) gives the same bits as dividing the complex draw by sqrt(2).
     """
-    if isinstance(rng, np.random.Generator):
-        return complex_normal([rng], shape)[0]
-    shape = (shape,) if np.ndim(shape) == 0 else tuple(shape)
-    parts = np.empty((len(rng), 2) + shape)
-    for gen, row in zip(rng, parts):
+    single = isinstance(rng, np.random.Generator)
+    rngs = [rng] if single else rng
+    shapes = [(s,) if np.ndim(s) == 0 else tuple(s) for s in shapes]
+    ends = np.cumsum([0] + [2 * math.prod(s) for s in shapes])
+    parts = np.empty((len(rngs), ends[-1]))
+    for gen, row in zip(rngs, parts):
         gen.standard_normal(out=row)
     parts *= 1.0 / np.sqrt(2.0)
-    out = np.empty((len(rng),) + shape, dtype=complex)
-    out.real = parts[:, 0]
-    out.imag = parts[:, 1]
-    return out
+    outs = []
+    for shape, lo, hi in zip(shapes, ends[:-1], ends[1:]):
+        block = parts[:, lo:hi].reshape((len(rngs), 2) + shape)
+        out = np.empty((len(rngs),) + shape, dtype=complex)
+        out.real, out.imag = block[:, 0], block[:, 1]
+        outs.append(out[0] if single else out)
+    return outs[0] if len(outs) == 1 else outs
+
+
+def random_bits(rngs, totals) -> np.ndarray:
+    """totals[f] random bits from each rngs[f], concatenated, as uint8.
+
+    For range 1, numpy's Lemire draw returns the top bit of a 32-bit word
+    and never rejects one, and each 64-bit Philox output gives two words,
+    low half first.  So the top bits of random_raw(n // 2)'s halves (byte
+    3 of each little-endian half) are integers(0, 2, n)'s bits, and leave
+    the generator where integers would, for even n.
+    """
+    if any(total % 2 for total in totals):
+        raise ValueError("random_bits draws an even number of bits")
+    raw = np.concatenate([rng.bit_generator.random_raw(total // 2)
+                          for rng, total in zip(rngs, totals)])
+    return raw.astype("<u8", copy=False).view(np.uint8)[3::4] >> 7

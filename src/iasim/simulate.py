@@ -1,15 +1,15 @@
 """Monte Carlo link-level engine.
 
-A frame passes three stages.  Sample: draw a channel realization from
-the frame's own counter-based substream (_sample_frames).  Design: build
-transceivers, and bit allocations when loading, from the
-transmitter-side estimates (_design).  Transmit: push random data
-through the TRUE channels with unit-variance complex AWGN and count bit
-errors after nearest-neighbor detection (_transmit).  Residual
-cross-interference is physically present in the received samples;
-receivers equalize by the true effective scalar of their own stream
-only.  A cell's estimate runs frames in fixed chunks and applies its
-stop rule after each chunk (_estimates).
+A frame passes three stages.  Sample: draw channels and precoder inits
+from the frame's own counter-based substream (_sample_frames).  Design:
+build transceivers, and bit allocations when loading, from the
+transmitter-side estimates, drawing nothing (_design).  Transmit: push
+random data through the TRUE channels with unit-variance complex AWGN
+and count bit errors after nearest-neighbor detection (_transmit).
+Residual cross-interference is physically present in the received
+samples; receivers equalize by the true effective scalar of their own
+stream only.  A cell's estimate runs frames in fixed chunks and applies
+its stop rule after each chunk (_estimates).
 
 Frames are independent, so any partitioning across workers reproduces
 the serial counts exactly.  A sweep runs every cell's chunks on one pool
@@ -27,7 +27,8 @@ from . import bitload
 from .bitload import greedy_bitload_table
 from .modem import (MAX_BITS, BerEstimate, ber_awgn_instant, minil_avg_ber,
                     svd_avg_ber, bit_errors, modulate, demodulate)
-from .network import NetworkConfig, check_count, complex_normal, substream
+from .network import (NetworkConfig, check_count, complex_normal,
+                      random_bits, substream)
 from .solvers import cross_gains, maxsinr_solve_batch, minil_solve_batch
 from .linalg import unit
 
@@ -36,15 +37,8 @@ MODE_MAXSINR = "maxsinr"
 MODE_SVD = "svd"
 MODE_ADAPTIVE = "adaptive"
 RUN_MODES = (MODE_MINIL, MODE_MAXSINR, MODE_SVD, MODE_ADAPTIVE)
-# Symbols per stream per frame.  A frame's data bits are the bits of one
-# integers(0, 2, FRAME_USES * sum(bits)) draw, cut into its streams.  For
-# range 1, numpy's Lemire draw returns the top bit of a 32-bit word and
-# never rejects one, and each 64-bit Philox output gives two words, low
-# half first.  So the top bits of random_raw(n // 2)'s halves are those
-# bits, and leave the generator where integers would, for even n.
+# Symbols per stream per frame; even, since random_bits draws bits in pairs.
 FRAME_USES = 100
-if FRAME_USES % 2:
-    raise ImportError("FRAME_USES must be even for the raw-word data draw")
 _BLOCK_FRAMES = 25  # frames per transmit block: bounds its temporaries
 _CHUNK_FRAMES = 400  # frames between stop-rule checks
 
@@ -77,11 +71,10 @@ def _transmit(gains: np.ndarray, bits: np.ndarray, powers: np.ndarray,
     gains[f, i, j] (F, n, n) couples transmit stream j into receive stream
     i of frame f; bits and powers are (F, n).  Returns (F, n, 2) bits sent
     and bit errors per stream.  Each frame's own rngs[f] makes two calls:
-    FRAME_USES * sum(bits[f]) data bits, as integers(0, 2) would draw
-    them (see FRAME_USES), cut into the streams in index order (a 0-bit
-    stream takes none), then one (n, FRAME_USES) complex_normal noise
-    block.  Frames go through in blocks of _BLOCK_FRAMES to bound the
-    temporaries.
+    FRAME_USES * sum(bits[f]) random_bits, cut into the streams in index
+    order (a 0-bit stream takes none), then one (n, FRAME_USES)
+    complex_normal noise block.  Frames go through in blocks of
+    _BLOCK_FRAMES to bound the temporaries.
     """
     counts = np.zeros(bits.shape + (2,), dtype=np.int64)
     for lo in range(0, len(rngs), _BLOCK_FRAMES):
@@ -89,16 +82,6 @@ def _transmit(gains: np.ndarray, bits: np.ndarray, powers: np.ndarray,
         counts[blk] = _transmit_block(gains[blk], bits[blk], powers[blk],
                                       rngs[blk])
     return counts
-
-
-def _draw_bits(rngs, totals) -> np.ndarray:
-    """totals[f] data bits from each rngs[f], concatenated, as uint8.
-
-    Byte 3 of each little-endian 32-bit half holds its top bit.
-    """
-    raw = np.concatenate([rng.bit_generator.random_raw(total // 2)
-                          for rng, total in zip(rngs, totals)])
-    return raw.astype("<u8", copy=False).view(np.uint8)[3::4] >> 7
 
 
 def _pack(data: np.ndarray) -> np.ndarray:
@@ -117,7 +100,7 @@ def _transmit_block(gains, bits, powers, rngs) -> np.ndarray:
     loads = [int(b) for b in np.unique(bits) if b > 0]
     # Streams carrying b bits, frame-major: the order the draws visit them.
     streams = {b: np.nonzero(bits == b) for b in loads}
-    drawn = _draw_bits(rngs, FRAME_USES * bits.sum(axis=1))
+    drawn = random_bits(rngs, FRAME_USES * bits.sum(axis=1))
     # Stream (f, s) takes FRAME_USES * bits[f, s] bits from its offset.
     start = FRAME_USES * (np.cumsum(bits) - bits.ravel()).reshape(f, n)
     sent = {}
@@ -141,31 +124,28 @@ def _transmit_block(gains, bits, powers, rngs) -> np.ndarray:
     return counts
 
 
-def _sample_frames(cfg: NetworkConfig, frame_indices):
-    """Per-frame substreams and their channel draws, in draw order.
+def _sample_frames(cfg: NetworkConfig, frame_indices, n_inits: int):
+    """Per-frame substreams and every draw made before the design.
 
-    Each frame's substream yields the estimate h_hat, then the error term
-    w, then (see _draw_inits) any precoder initialisations, then the
-    frame's data and noise (see _transmit): one call per draw kind.
+    Returns (rngs, h_hat, h, inits), inits a list of n_inits unit-norm
+    (F, K, nt) precoder inits.  Of a frame's three substream calls, this
+    is the first: one standard_normal call yields the estimate h_hat, the
+    error term w and the inits, in that order.  _transmit makes the other
+    two, data bits and noise, since their sizes follow the design.
     """
     rngs = substream(cfg.seed, frame_indices)
     shape = (cfg.k_pairs, cfg.k_pairs, cfg.nr, cfg.nt)
-    h_hat = complex_normal(rngs, shape)
-    w = complex_normal(rngs, shape)
-    h = np.sqrt(1.0 - cfg.epsilon) * h_hat + np.sqrt(cfg.epsilon) * w
-    return rngs, h_hat, h
+    h_hat, w, *inits = complex_normal(rngs, shape, shape,
+                                      *[(cfg.k_pairs, cfg.nt)] * n_inits)
+    h = np.sqrt(1.0 - cfg.epsilon) * h_hat
+    h += np.sqrt(cfg.epsilon) * w  # in place: one fewer full-size temporary
+    return rngs, h_hat, h, [unit(v) for v in inits]
 
 
-def _draw_inits(cfg: NetworkConfig, rngs, n: int) -> np.ndarray:
-    """n unit-norm precoder initialisations per frame, (F, n, K, nt).
-
-    One complex_normal batch call per init slot, so each frame draws its
-    n inits in slot order.
-    """
-    inits = np.empty((len(rngs), n, cfg.k_pairs, cfg.nt), dtype=complex)
-    for j in range(n):
-        inits[:, j] = unit(complex_normal(rngs, (cfg.k_pairs, cfg.nt)))
-    return inits
+def _init_slots(mode: str) -> list:
+    """The aligned modes that draw a precoder init in `mode`, MinIL's first."""
+    return [m for m in (MODE_MINIL, MODE_MAXSINR)
+            if mode in (m, MODE_ADAPTIVE)]
 
 
 @dataclass
@@ -263,29 +243,26 @@ def _stream_design(cfg: NetworkConfig, mode: str, h_hat, active, init_v,
     return Design(rx, tx, pair, bits, kp / r * bits, _predicted(bits, snr, r))
 
 
-def _design(cfg: NetworkConfig, mode: str, loading: bool, rngs, h_hat,
-            active) -> tuple[list, np.ndarray]:
+def _design(cfg: NetworkConfig, mode: str, loading: bool, h_hat, active,
+            inits) -> tuple[list, np.ndarray]:
     """Designs from transmitter-side knowledge, and each frame's pick.
 
     The design stage of a frame, after its channels are sampled and
-    before its data is transmitted.  A fixed mode returns its one design
-    and picks it for every frame.  Adaptive returns the loaded Max-SINR,
-    SVD-SM and MinIL designs and picks, per frame, the one with the
-    lowest predicted BER; argmin keeps the first of equal values, so ties
-    go in that order.
+    before its data is transmitted, with one init per _init_slots(mode).
+    A fixed mode returns its one design and picks it for every frame.
+    Adaptive returns the loaded Max-SINR, SVD-SM and MinIL designs and
+    picks, per frame, the one with the lowest predicted BER; argmin keeps
+    the first of equal values, so ties go in that order.
     """
     adaptive = mode == MODE_ADAPTIVE
     modes = (MODE_MAXSINR, MODE_SVD, MODE_MINIL) if adaptive else (mode,)
-    # Each aligned mode draws one precoder initialisation, MinIL's first.
-    drawn = [m for m in (MODE_MINIL, MODE_MAXSINR) if m in modes]
-    inits = _draw_inits(cfg, rngs, len(drawn))
-    init_of = {m: inits[:, j] for j, m in enumerate(drawn)}
+    init_of = dict(zip(_init_slots(mode), inits, strict=True))
     designs = [_stream_design(cfg, m, h_hat, active, init_of.get(m),
                               loading or adaptive) for m in modes]
     if adaptive:
         pick = np.argmin(np.stack([d.predicted for d in designs]), axis=0)
     else:
-        pick = np.zeros(len(rngs), dtype=int)
+        pick = np.zeros(len(h_hat), dtype=int)
     return designs, pick
 
 
@@ -314,9 +291,10 @@ def run_frames(cfg: NetworkConfig, mode: str, frame_indices,
     frame_indices = [int(i) for i in frame_indices]
     if not frame_indices:
         return np.zeros((0, cfg.k_pairs, 2), dtype=np.int64)
-    rngs, h_hat, h = _sample_frames(cfg, frame_indices)
+    rngs, h_hat, h, inits = _sample_frames(cfg, frame_indices,
+                                           len(_init_slots(mode)))
     active = np.array(frame_indices) % cfg.k_pairs
-    designs, pick = _design(cfg, mode, loading, rngs, h_hat, active)
+    designs, pick = _design(cfg, mode, loading, h_hat, active, inits)
 
     out = np.zeros((len(rngs), cfg.k_pairs, 2), dtype=np.int64)
     for j, design in enumerate(designs):
@@ -428,8 +406,7 @@ def fig1_stats(cfg: NetworkConfig, p_grid, frames: int = 10_000) -> list:
     singular-value sampling of the same frames' direct channels.
     """
     check_count("frames", frames)
-    rngs, h_hat, h = _sample_frames(cfg, range(frames))
-    init_x = _draw_inits(cfg, rngs, 1)[:, 0]
+    _, h_hat, _, (init_x,) = _sample_frames(cfg, range(frames), 1)
     k = cfg.k_pairs
     direct = h_hat[:, np.arange(k), np.arange(k)]
     smax = np.linalg.svd(direct.reshape(-1, cfg.nr, cfg.nt),

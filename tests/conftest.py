@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from iasim.network import NetworkConfig
-from iasim.simulate import _draw_inits, _sample_frames
+from iasim.simulate import _sample_frames
 
 Channels = namedtuple("Channels", "h_hat h")
 
 
 def draw_inits(cfg: NetworkConfig, frame_indices, n_draws: int = 1):
-    """Channels plus per-frame precoder initializations, in substream order."""
-    rngs, h_hat, h = _sample_frames(cfg, frame_indices)
-    return Channels(h_hat, h), _draw_inits(cfg, rngs, n_draws)
+    """Channels plus per-frame precoder initializations, (F, n_draws, K,
+    nt), in substream order."""
+    _, h_hat, h, inits = _sample_frames(cfg, frame_indices, n_draws)
+    return Channels(h_hat, h), np.stack(inits, axis=1)
 
 
 @pytest.fixture

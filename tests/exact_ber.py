@@ -25,7 +25,8 @@ import numpy as np
 from scipy.special import ndtr
 
 from iasim.modem import modulate
-from iasim.simulate import _design, _sample_frames, _stream_gains
+from iasim.simulate import (_design, _init_slots, _sample_frames,
+                            _stream_gains)
 from oracles import constellation_geometry
 
 
@@ -112,8 +113,9 @@ def loaded_links(cfg, mode: str, frame_indices):
     channels, exactly as the engine transmits over it.
     """
     frame_indices = [int(i) for i in frame_indices]
-    rngs, h_hat, h = _sample_frames(cfg, frame_indices)
+    _, h_hat, h, inits = _sample_frames(cfg, frame_indices,
+                                        len(_init_slots(mode)))
     active = np.array(frame_indices) % cfg.k_pairs
-    (design,), _ = _design(cfg, mode, True, rngs, h_hat, active)
+    (design,), _ = _design(cfg, mode, True, h_hat, active, inits)
     gains = _stream_gains(h, design, np.arange(len(frame_indices)))
     return gains, design.bits, design.powers

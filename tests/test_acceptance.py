@@ -31,9 +31,11 @@ FIXED_MODES = ("minil", "maxsinr", "svd")
 
 def run_curve(cfg, mode, snr_list, loading=False, target_errors=500,
               max_bits=6_000_000):
+    # Counts do not depend on the worker count, so two workers only
+    # shorten the wall time.
     return {
         snr: estimate_ber(cfg, mode, snr, target_errors=target_errors,
-                          max_bits=max_bits, loading=loading)
+                          max_bits=max_bits, loading=loading, workers=2)
         for snr in snr_list
     }
 

@@ -8,8 +8,8 @@ from iasim.bitload import greedy_bitload_table
 from iasim.linalg import unit
 from iasim.modem import MAX_BITS, ber_awgn_instant
 from iasim.network import NetworkConfig, complex_normal
-from iasim.simulate import (Design, _ber_table, _design, _sample_frames,
-                            _stream_design, _stream_gains)
+from iasim.simulate import (Design, _ber_table, _design, _init_slots,
+                            _sample_frames, _stream_design, _stream_gains)
 from iasim.solvers import IaSolution
 from oracles import greedy_bitload, sinr_prediction, table_prediction
 
@@ -129,11 +129,11 @@ def engine_design(cfg, mode, frame=0, edit=None):
     substream; `edit(h_hat)` may change the channel estimate in place
     before the design sees it.
     """
-    rngs, h_hat, _ = _sample_frames(cfg, [frame])
+    _, h_hat, _, inits = _sample_frames(cfg, [frame], len(_init_slots(mode)))
     if edit is not None:
         edit(h_hat[0])
-    designs, pick = _design(cfg, mode, True, rngs, h_hat,
-                            np.array([frame % cfg.k_pairs]))
+    designs, pick = _design(cfg, mode, True, h_hat,
+                            np.array([frame % cfg.k_pairs]), inits)
     return designs, pick, h_hat
 
 
@@ -176,7 +176,7 @@ class TestLoadIa:
                               per_channel_power=None)
 
         monkeypatch.setattr(simulate, "minil_solve_batch", solve)
-        _, h_hat, _ = _sample_frames(cfg, [0])
+        _, h_hat, _, _ = _sample_frames(cfg, [0], 0)
         design = _stream_design(cfg, "minil", h_hat, np.zeros(1, dtype=int),
                                 np.ones((1, 3, 2)), True)
         assert list(design.bits[0]) == [2, 2, 2]
@@ -259,9 +259,10 @@ class TestPrediction:
             monkeypatch.setattr(simulate, name,
                                 recording(getattr(simulate, name)))
         frames = range(300)
-        rngs, h_hat, _ = _sample_frames(cfg, frames)
+        _, h_hat, _, inits = _sample_frames(cfg, frames,
+                                            len(_init_slots(mode)))
         active = np.array(frames) % cfg.k_pairs
-        (design,), _ = _design(cfg, mode, True, rngs, h_hat, active)
+        (design,), _ = _design(cfg, mode, True, h_hat, active, inits)
         return cfg, design, solved[-1] if solved else None, h_hat, active
 
     @pytest.mark.parametrize("power_p", [0.3, 10.0, 1e3])
@@ -311,9 +312,9 @@ class TestSelectMode:
                           np.array([preds[mode]]))
 
         monkeypatch.setattr(simulate, "_stream_design", fake)
-        rngs, h_hat, _ = _sample_frames(cfg, [0])
-        designs, pick = _design(cfg, "adaptive", True, rngs, h_hat,
-                                np.zeros(1, dtype=int))
+        _, h_hat, _, inits = _sample_frames(cfg, [0], 2)
+        designs, pick = _design(cfg, "adaptive", True, h_hat,
+                                np.zeros(1, dtype=int), inits)
         return designed[pick[0]], designs[pick[0]]
 
     def test_lowest_wins(self, cfg, monkeypatch):
@@ -334,9 +335,9 @@ class TestSelectMode:
         # On live designs each frame picks its lowest prediction, and the
         # frame is sent with the picked design's bits.
         frames = range(40)
-        rngs, h_hat, _ = _sample_frames(cfg, frames)
+        _, h_hat, _, inits = _sample_frames(cfg, frames, 2)
         active = np.array(frames) % 3
-        designs, pick = _design(cfg, "adaptive", True, rngs, h_hat, active)
+        designs, pick = _design(cfg, "adaptive", True, h_hat, active, inits)
         preds = np.stack([d.predicted for d in designs])
         assert np.array_equal(preds[pick, np.arange(40)], preds.min(axis=0))
         assert len(set(pick)) > 1

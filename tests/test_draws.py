@@ -1,21 +1,23 @@
 """The batched draw layer against numpy's SeedSequence and per-frame loops.
 
 `substream` derives a batch's Philox keys in one vectorised pass and
-`complex_normal` fills a batch with one call per generator; the engine's
-`_sample_frames` and `_draw_inits` make one batch call per draw kind, and
-`_draw_bits` takes data bits from raw Philox words.  All of them must give
-exactly the draws of the frame-by-frame references in `oracles` (or of
-`integers(0, 2, n)`), and leave every frame's generator in the same state.
+`complex_normal` fills a batch, several shapes at once, with one call per
+generator; the engine's `_sample_frames` draws every pre-design array in
+that one call, and `random_bits` takes data bits from raw Philox words.
+All of them must give exactly the draws of the frame-by-frame, per-kind
+references in `oracles` (or of `integers(0, 2, n)`), and leave every
+frame's generator in the same state.  A frame makes three generator
+calls in every mode.
 """
 
 import numpy as np
 import pytest
 
 import oracles
+from iasim import simulate
 from iasim.network import (NetworkConfig, _philox_keys, _PhiloxKey,
-                           complex_normal, substream)
-from iasim.simulate import (FRAME_USES, _draw_bits, _draw_inits,
-                             _sample_frames)
+                           complex_normal, random_bits, substream)
+from iasim.simulate import FRAME_USES, RUN_MODES, _sample_frames, run_frames
 
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**127 + 11, 2**128 + 5,
          2**200 + 7]
@@ -109,18 +111,80 @@ def test_complex_normal_single_generator():
     assert got.tobytes() == want.tobytes()
 
 
+def test_complex_normal_several_shapes_match_per_shape_draws():
+    # One call for all shapes draws what one call per shape, in order,
+    # draws, and leaves each generator in the same state.
+    shapes = [(3, 2), 4, (2, 2, 3)]
+    rngs = substream(8, range(40))
+    refs = [oracles.substream(8, i) for i in range(40)]
+    got = complex_normal(rngs, *shapes)
+    assert len(got) == len(shapes)
+    for shape, g in zip(shapes, got):
+        want = np.stack([oracles.complex_normal(r, shape) for r in refs])
+        assert g.shape == want.shape
+        assert g.tobytes() == want.tobytes()
+    assert_same_state(rngs, refs)
+    ref = np.random.default_rng(4)
+    for shape, g in zip(shapes, complex_normal(np.random.default_rng(4),
+                                               *shapes)):
+        assert g.tobytes() == oracles.complex_normal(ref, shape).tobytes()
+
+
 @pytest.mark.parametrize("frames", [1, 25, 400])
 def test_sample_and_inits_match_per_frame_oracle(frames):
+    # The merged pre-design draw equals the per-kind draws h_hat, w, then
+    # each init, in values and in each generator's end state.
     cfg = NetworkConfig(k_pairs=4, nt=3, nr=2, epsilon=0.3, seed=21)
     indices = range(1000, 1000 + frames)
-    rngs, h_hat, h = _sample_frames(cfg, indices)
-    inits = _draw_inits(cfg, rngs, 2)
-    refs, ref_h_hat, ref_h = oracles.sample_frames(cfg, indices)
-    ref_inits = oracles.draw_inits(cfg, refs, 2)
-    assert h_hat.tobytes() == ref_h_hat.tobytes()
-    assert h.tobytes() == ref_h.tobytes()
-    assert inits.tobytes() == ref_inits.tobytes()
-    assert_same_state(rngs, refs)
+    for n_inits in (0, 1, 2):
+        rngs, h_hat, h, inits = _sample_frames(cfg, indices, n_inits)
+        refs, ref_h_hat, ref_h = oracles.sample_frames(cfg, indices)
+        ref_inits = oracles.draw_inits(cfg, refs, n_inits)
+        assert h_hat.tobytes() == ref_h_hat.tobytes()
+        assert h.tobytes() == ref_h.tobytes()
+        assert len(inits) == n_inits
+        for j, init in enumerate(inits):
+            assert init.tobytes() == ref_inits[:, j].tobytes()
+        assert_same_state(rngs, refs)
+
+
+class CallLog:
+    """A generator, or its bit generator, that logs each method called."""
+
+    def __init__(self, inner, log):
+        self._inner, self.log = inner, log
+
+    def __getattr__(self, name):
+        attr = getattr(self._inner, name)
+        if name == "bit_generator":
+            return CallLog(attr, self.log)
+
+        def logged(*args, **kwargs):
+            self.log.append(name)
+            return attr(*args, **kwargs)
+        return logged
+
+
+@pytest.mark.parametrize("mode, loading", [
+    (mode, loading) for mode in RUN_MODES for loading in (False, True)
+    if mode != "adaptive" or loading])
+def test_every_frame_makes_three_generator_calls(monkeypatch, mode,
+                                                 loading):
+    # Pre-design draws, data bits, noise: one call each, in that order,
+    # whatever the mode; 30 frames span two transmit blocks.
+    cfg = NetworkConfig(k_pairs=3, nt=2, nr=2, seed=5)
+    want = run_frames(cfg, mode, range(30), loading)
+    logs = []
+
+    def logged_substream(seed, indices):
+        rngs = [CallLog(rng, []) for rng in substream(seed, indices)]
+        logs.extend(rng.log for rng in rngs)
+        return rngs
+
+    monkeypatch.setattr(simulate, "substream", logged_substream)
+    assert np.array_equal(run_frames(cfg, mode, range(30), loading), want)
+    assert logs == [["standard_normal", "random_raw",
+                     "standard_normal"]] * 30
 
 
 @pytest.mark.parametrize("bits", [[2, 2, 2], [1, 0, 3], [5], [0, 0, 1]])
@@ -143,7 +207,7 @@ def test_raw_word_draw_matches_integers(n):
     indices = [0, 9, 2**32 + 1, 2**64 + 7, 12345]
     rngs = substream(6, indices)
     refs = [oracles.substream(6, i) for i in indices]
-    got = _draw_bits(rngs, [n] * len(rngs))
+    got = random_bits(rngs, [n] * len(rngs))
     want = np.concatenate([ref.integers(0, 2, n) for ref in refs])
     assert got.dtype == np.uint8
     assert np.array_equal(got, want)
@@ -163,8 +227,18 @@ def test_raw_word_draw_after_normal_draws():
     complex_normal(rngs, (3, 2))
     for ref in refs:
         oracles.complex_normal(ref, (3, 2))
-    got = _draw_bits(rngs, totals)
+    got = random_bits(rngs, totals)
     want = np.concatenate([ref.integers(0, 2, t)
                            for ref, t in zip(refs, totals)])
     assert np.array_equal(got, want)
     assert_same_live_state(rngs, refs)
+
+
+def test_random_bits_rejects_odd_counts():
+    # An odd count has no raw-word form: integers would take half of one
+    # more 64-bit output and buffer the other.  The check comes before
+    # any generator moves.
+    rngs = substream(6, range(3))
+    with pytest.raises(ValueError, match="even"):
+        random_bits(rngs, [4, 3, 2])
+    assert_same_state(rngs, [oracles.substream(6, i) for i in range(3)])

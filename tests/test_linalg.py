@@ -134,6 +134,27 @@ def test_min_eigvec_3x3_degenerate_spectra_take_lapack(rng):
     np.testing.assert_allclose(got[1::2], want[1::2], rtol=0, atol=1e-12)
 
 
+def test_min_eigvec_3x3_rank_one_lands_in_the_null_space():
+    # 10 t t^H has a double zero eigenvalue.  The Rayleigh step moves the
+    # cubic's root off it, so the first pass's candidate is the one that
+    # shows the degeneracy; every vector must still be orthogonal to t.
+    rng = np.random.default_rng(17)
+    t = rng.standard_normal((100_000, 3)) + 1j * rng.standard_normal(
+        (100_000, 3))
+    v = min_eigvec(10.0 * t[:, :, None] * t[:, None, :].conj())
+    assert np.max(10.0 * np.abs((t.conj() * v).sum(axis=1)) ** 2) <= 1e-20
+
+
+@pytest.mark.parametrize("power_p", [10.0, 1e3])
+def test_minil_nulls_two_user_3x3_leakage(power_p):
+    # With two users and three antennas, every interference covariance is
+    # rank one, so each node can null it exactly.
+    cfg = NetworkConfig(k_pairs=2, nt=3, nr=3, power_p=power_p, seed=3)
+    cs, inits = draw_inits(cfg, range(2000))
+    sol = solvers.minil_solve_batch(cs.h_hat, power_p, 20, inits[:, 0])
+    assert np.max(sol.leakage) <= 1e-20
+
+
 def test_unit_norms(rng):
     v = rng.standard_normal((50, 4)) + 1j * rng.standard_normal((50, 4))
     u = unit(v)

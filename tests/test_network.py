@@ -6,7 +6,7 @@ from iasim.simulate import _sample_frames
 
 
 def channels(cfg, frames):
-    _, h_hat, h = _sample_frames(cfg, frames)
+    _, h_hat, h, _ = _sample_frames(cfg, frames, 0)
     return h_hat, h
 
 

@@ -9,9 +9,9 @@ import oracles
 from iasim import simulate
 from iasim.modem import minil_avg_ber
 from iasim.network import NetworkConfig
-from iasim.simulate import (FRAME_USES, RUN_MODES, _design, _sample_frames,
-                            analytic_ber, check_mode_config, estimate_ber,
-                            fig1_stats, run_frames, sweep)
+from iasim.simulate import (FRAME_USES, RUN_MODES, _design, _init_slots,
+                            _sample_frames, analytic_ber, check_mode_config,
+                            estimate_ber, fig1_stats, run_frames, sweep)
 
 
 @pytest.fixture
@@ -103,9 +103,10 @@ class TestAccounting:
         # per channel use stays at KP within sampling noise.
         for mode, loading in (("minil", True), ("maxsinr", True),
                               ("svd", True), ("adaptive", True)):
-            rngs, h_hat, h = _sample_frames(cfg, range(12))
+            _, h_hat, _, inits = _sample_frames(cfg, range(12),
+                                                len(_init_slots(mode)))
             active = np.array([i % 3 for i in range(12)])
-            designs, pick = _design(cfg, mode, loading, rngs, h_hat, active)
+            designs, pick = _design(cfg, mode, loading, h_hat, active, inits)
             kp = cfg.k_pairs * cfg.power_p
             for i, j in enumerate(pick):
                 assert designs[j].powers[i].sum() == pytest.approx(kp)
@@ -115,9 +116,10 @@ class TestAccounting:
         # A frame's bits sent are FRAME_USES times the bits its picked
         # design loads on each stream, credited to the stream's pair.
         frames = range(5)
-        rngs, h_hat, _ = _sample_frames(cfg, frames)
+        _, h_hat, _, inits = _sample_frames(cfg, frames,
+                                            len(_init_slots(mode)))
         active = np.array(frames) % cfg.k_pairs
-        designs, pick = _design(cfg, mode, True, rngs, h_hat, active)
+        designs, pick = _design(cfg, mode, True, h_hat, active, inits)
         counts = run_frames(cfg, mode, frames, loading=True)
         for i, j in enumerate(pick):
             d = designs[j]
