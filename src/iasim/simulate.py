@@ -9,11 +9,12 @@ and count bit errors after nearest-neighbor detection (_transmit).
 Residual cross-interference is physically present in the received
 samples; receivers equalize by the true effective scalar of their own
 stream only.  A cell's estimate runs frames in fixed chunks and applies
-its stop rule after each chunk (_estimates).
+its stop rule after each chunk.
 
 Frames are independent, so any partitioning across workers reproduces
-the serial counts exactly.  A sweep runs every cell's chunks on one pool
-of worker processes, opened once for the whole grid.
+the serial counts exactly.  A sweep runs on one pool of worker
+processes, opened once for the whole grid, where every cell's chain of
+chunks is in flight at once; _estimates states the scheduling rule.
 """
 
 import concurrent.futures
@@ -337,46 +338,91 @@ def _cell_config(cfg: NetworkConfig, mode: str, snr_db: float,
     return cfg
 
 
+class _Inline(concurrent.futures.Executor):
+    """The one-worker executor: runs each job in this process as it is
+    submitted."""
+
+    def submit(self, fn, /, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@contextlib.contextmanager
+def _executor(workers: int):
+    """One executor for all the cells: inline for one worker, else a pool
+    of `workers` processes, which fork at its first submit.  The pool
+    class is looked up at call time, so a profiler that swaps
+    concurrent.futures.ProcessPoolExecutor sees every pool.  On any
+    exception, KeyboardInterrupt included, the queued chunks are
+    cancelled before the pool waits for its workers, so the error
+    reaches the caller without running the rest of the grid."""
+    if workers == 1:
+        yield _Inline()
+        return
+    with concurrent.futures.ProcessPoolExecutor(workers) as pool:
+        try:
+            yield pool
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
 def _estimates(cells, workers: int, target_errors: int, max_bits: int,
                chunk_frames: int) -> list:
     """BER estimate of each checked (cfg, mode, loading) cell, in order.
 
-    A cell runs chunks of chunk_frames frames until it has target_errors
-    errors or max_bits bits.  Each chunk is split into `workers` frame
-    ranges, and the stop rule is applied after the whole chunk is back.
-    One worker maps with builtin map; more share one pool of `workers`
-    processes for all the cells, which fork at its first submit.  The
-    pool class is looked up at call time, so a profiler that swaps
-    concurrent.futures.ProcessPoolExecutor sees every pool.  The
-    confidence interval is cluster-robust over frames, since all the bits
-    of one frame share a channel draw.
+    Each cell is a chain of chunks of chunk_frames frames that ends once
+    the cell has target_errors errors or max_bits bits.  A cell's next
+    chunk is submitted only after its last one is back and the stop rule
+    says go on, so no frame runs ahead of the rule; the chains of all
+    cells are in flight together on one executor (_executor).  A chunk
+    is one job while at least `workers` cells are still running, and is
+    split into `workers` frame ranges once fewer are (a one-cell
+    estimate, the tail of a grid).  The estimates come back in grid
+    order.  The confidence interval is cluster-robust over frames, since
+    all the bits of one frame share a channel draw.
     """
     check_count("target_errors", target_errors)
     check_count("max_bits", max_bits)
     check_count("chunk_frames", chunk_frames)
     check_count("workers", workers)
-    ests = []
-    with contextlib.ExitStack() as stack:
-        run = map if workers == 1 else stack.enter_context(
-            concurrent.futures.ProcessPoolExecutor(workers)).map
-        for cfg, mode, loading in cells:
-            per_frame = []
-            bits = errors = start = 0
-            while errors < target_errors and bits < max_bits:
-                stop = start + chunk_frames
-                bounds = np.linspace(start, stop, workers + 1, dtype=int)
-                jobs = [(cfg, mode, int(a), int(b), loading)
+    counts = [np.zeros((0, 2), dtype=np.int64) for _ in cells]  # per frame
+    parts = {}      # cell -> the futures of its chunk in flight, in order
+    ests = [None] * len(cells)
+    running = len(cells)
+    with _executor(workers) as pool:
+
+        def submit(i):
+            cfg, mode, loading = cells[i]
+            start = len(counts[i])
+            n = 1 if running >= workers else workers
+            bounds = np.linspace(start, start + chunk_frames, n + 1,
+                                 dtype=int)
+            parts[i] = [pool.submit(_run_range,
+                                    (cfg, mode, int(a), int(b), loading))
                         for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
-                chunk = np.vstack(list(run(_run_range, jobs)))
-                per_frame.append(chunk)
-                bits += int(chunk[:, 0].sum())
-                errors += int(chunk[:, 1].sum())
-                start = stop
-            frames = np.vstack(per_frame)
-            resid = frames[:, 1] - errors / bits * frames[:, 0]
-            ratio_var = float((resid**2).sum() / bits**2)
-            ests.append(BerEstimate(bits_sent=bits, bit_errors=errors,
-                                    ratio_var=ratio_var))
+
+        for i in range(len(cells)):
+            submit(i)
+        while parts:
+            concurrent.futures.wait(
+                [f for fs in parts.values() for f in fs if not f.done()],
+                return_when=concurrent.futures.FIRST_COMPLETED)
+            for i in [i for i, fs in parts.items()
+                      if all(f.done() for f in fs)]:
+                counts[i] = np.vstack([counts[i]]
+                                      + [f.result() for f in parts.pop(i)])
+                bits, errors = (int(x) for x in counts[i].sum(axis=0))
+                if errors < target_errors and bits < max_bits:
+                    submit(i)
+                    continue
+                running -= 1
+                frames, counts[i] = counts[i], None  # keep only the estimate
+                resid = frames[:, 1] - errors / bits * frames[:, 0]
+                ests[i] = BerEstimate(bits_sent=bits, bit_errors=errors,
+                                      ratio_var=float((resid**2).sum()
+                                                      / bits**2))
     return ests
 
 
@@ -389,8 +435,9 @@ def estimate_ber(cfg: NetworkConfig, mode: str, snr_db: float,
     Deterministic for a fixed (cfg.seed, target_errors, max_bits,
     chunk_frames) regardless of worker count: stopping is evaluated at
     fixed chunk boundaries and every frame's counts depend only on its
-    own substream.  With workers > 1 the chunks run on one pool opened
-    for this call.  Equals the one-cell sweep at the same stop rule.
+    own substream.  With workers > 1 each chunk is split into `workers`
+    frame ranges on one pool opened for this call.  Equals the one-cell
+    sweep at the same stop rule.
     """
     cfg = _cell_config(cfg, mode, snr_db, loading)
     return _estimates([(cfg, mode, loading)], workers, target_errors,
@@ -444,9 +491,10 @@ def sweep(cfg: NetworkConfig, snr_grid, eps_grid, modes, loading_flags,
           workers: int = 1) -> list:
     """Cross product of settings -> one BER estimate row per cell.
 
-    Every cell is checked before any frame runs.  With workers > 1 all
-    cells' chunks then run on one pool of `workers` processes; the
-    counts equal the serial ones.
+    Every cell is checked before any frame runs.  With workers > 1 the
+    cells then run on one pool of `workers` processes, as chains of
+    chunks in flight together (see _estimates); the counts equal the
+    serial ones, and the rows come in grid order.
     """
     snr_grid = list(snr_grid)
     eps_grid = list(eps_grid)

@@ -16,7 +16,8 @@ from conftest import draw_inits
 from exact_ber import exact_frame_ber, loaded_links
 from iasim.modem import ber_awgn_instant, minil_avg_ber, modulate
 from iasim.network import NetworkConfig
-from iasim.simulate import estimate_ber, fig1_stats
+from iasim.simulate import (_CHUNK_FRAMES, _cell_config, _estimates,
+                            estimate_ber, fig1_stats)
 from iasim.solvers import evaluate_true_sinr, minil_solve_batch
 
 pytestmark = pytest.mark.acceptance
@@ -29,15 +30,23 @@ ORACLE_FRAMES = 20_000
 FIXED_MODES = ("minil", "maxsinr", "svd")
 
 
-def run_curve(cfg, mode, snr_list, loading=False, target_errors=500,
-              max_bits=6_000_000):
-    # Counts do not depend on the worker count, so two workers only
-    # shorten the wall time.
-    return {
-        snr: estimate_ber(cfg, mode, snr, target_errors=target_errors,
-                          max_bits=max_bits, loading=loading, workers=2)
-        for snr in snr_list
-    }
+def run_curves(cfg, grids, loading=False, target_errors=500,
+               max_bits=6_000_000):
+    """{mode: {snr: estimate}} over each mode's SNR grid.
+
+    All the cells run in one call on one 2-process pool, so the curves'
+    chunks overlap.  Every cell keeps estimate_ber's stop rule and chunks,
+    and counts depend on neither the worker count nor the schedule, so
+    each estimate equals estimate_ber's at the same settings.
+    """
+    cells = [(mode, snr) for mode, snrs in grids.items() for snr in snrs]
+    ests = _estimates([(_cell_config(cfg, mode, snr, loading), mode, loading)
+                       for mode, snr in cells], 2, target_errors, max_bits,
+                      _CHUNK_FRAMES)
+    curves = {mode: {} for mode in grids}
+    for (mode, snr), est in zip(cells, ests):
+        curves[mode][snr] = est
+    return curves
 
 
 def crossing(points, level):
@@ -112,41 +121,28 @@ def curves_2x2(cfg22):
     bracketing each crossing run a full 6M bits (~10k frames, ~1%
     cluster error -> crossing jitter well under 0.1 dB).
     """
-    dense = dict(target_errors=10**9, max_bits=6_000_000)
-    return {
-        "minil": run_curve(cfg22, "minil",
-                           [13.75, 15.0, 16.25, 17.5, 18.75], **dense),
-        "maxsinr": run_curve(cfg22, "maxsinr",
-                             [7.5, 8.75, 10.0, 11.25], **dense),
-        "svd": run_curve(cfg22, "svd",
-                         [17.5, 18.75, 20.0, 21.25], **dense),
-    }
+    return run_curves(cfg22, {"minil": [13.75, 15.0, 16.25, 17.5, 18.75],
+                              "maxsinr": [7.5, 8.75, 10.0, 11.25],
+                              "svd": [17.5, 18.75, 20.0, 21.25]},
+                      target_errors=10**9, max_bits=6_000_000)
 
 
 @pytest.fixture(scope="module")
 def curves_3x2(cfg32):
     """Unloaded curves for the asymmetric network (criterion 4)."""
     grid = [0.0, 2.5, 5.0, 7.5, 10.0, 12.5, 15.0, 17.5, 20.0, 22.5, 25.0]
-    return {
-        "minil": run_curve(cfg32, "minil", grid, target_errors=600),
-        "maxsinr": run_curve(cfg32, "maxsinr", grid[:7], target_errors=600,
-                             max_bits=12_000_000),
-        "svd": run_curve(cfg32, "svd", grid[:9], target_errors=600,
-                         max_bits=12_000_000),
-    }
+    return {**run_curves(cfg32, {"minil": grid}, target_errors=600),
+            **run_curves(cfg32, {"maxsinr": grid[:7], "svd": grid[:9]},
+                         target_errors=600, max_bits=12_000_000)}
 
 
 @pytest.fixture(scope="module")
 def curves_loaded(cfg22):
     """Bit-loaded curves plus adaptive (criteria 10-12)."""
     grid = [0.0, 2.5, 5.0, 7.5, 10.0, 12.5, 15.0, 17.5]
-    kw = dict(loading=True, target_errors=300, max_bits=16_000_000)
-    return {
-        "minil": run_curve(cfg22, "minil", grid + [20.0], **kw),
-        "maxsinr": run_curve(cfg22, "maxsinr", grid, **kw),
-        "svd": run_curve(cfg22, "svd", grid, **kw),
-        "adaptive": run_curve(cfg22, "adaptive", grid, **kw),
-    }
+    return run_curves(cfg22, {"minil": grid + [20.0], "maxsinr": grid,
+                              "svd": grid, "adaptive": grid},
+                      loading=True, target_errors=300, max_bits=16_000_000)
 
 
 def test_criterion_1_minil_analytic_agreement(cfg22):

@@ -1,5 +1,6 @@
 import concurrent.futures
 import itertools
+import multiprocessing
 from dataclasses import replace
 
 import numpy as np
@@ -33,6 +34,25 @@ def pools(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         CountingPool)
     return built
+
+
+@pytest.fixture
+def jobs(monkeypatch):
+    """The _run_range jobs given to process pools while the test runs, in
+    order; each runs in this process as it is submitted."""
+    submitted = []
+
+    class RecordingPool(simulate._Inline):
+        def __init__(self, max_workers):
+            pass
+
+        def submit(self, fn, /, *args):
+            submitted.append(args[0])
+            return super().submit(fn, *args)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    return submitted
 
 
 @pytest.fixture
@@ -330,6 +350,7 @@ class TestSweep:
         assert len(pools) == 1
         assert [row["bits"] for row in serial] == [2 * 400 * 600] * 4
         assert parallel == serial
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_estimate_equals_one_cell_sweep(self, cfg, workers):
@@ -374,6 +395,114 @@ class TestSweep:
         assert analytic_ber(cfg, "minil", 10.0, True) is None
         assert analytic_ber(cfg, "maxsinr", 10.0, False) is None
         assert analytic_ber(cfg, "svd", 10.0, False) is not None
+
+
+# Twelve cells of 400-frame chunks of 600 bits.  At seed 11 they stop on
+# target_errors after 1, 2 and 3 chunks and on max_bits after 4.
+MIXED_CFG = NetworkConfig(k_pairs=3, nt=2, nr=2, rate_per_pair=2,
+                          iterations=5, seed=11)
+MIXED_GRID = ([10.0, 20.0, 25.0], [0.0], ["maxsinr", "svd"], [False, True])
+MIXED_STOP = dict(target_errors=1000, max_bits=4 * 400 * 600)
+
+
+@pytest.fixture(scope="module")
+def mixed_serial():
+    rows = sweep(MIXED_CFG, *MIXED_GRID, **MIXED_STOP)
+    stops = {(row["bits"] // (400 * 600), row["errors"] >= 1000)
+             for row in rows}
+    assert stops == {(1, True), (2, True), (3, True), (4, False)}
+    return rows
+
+
+class TestScheduler:
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_parallel_rows_equal_serial(self, mixed_serial, workers):
+        rows = sweep(MIXED_CFG, *MIXED_GRID, **MIXED_STOP, workers=workers)
+        assert rows == mixed_serial
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_whole_chunks_and_no_run_ahead(self, mixed_serial, jobs,
+                                           workers):
+        rows = sweep(MIXED_CFG, *MIXED_GRID, **MIXED_STOP, workers=workers)
+        assert rows == mixed_serial
+        counted = {(row["mode"], bool(row["loading"]),
+                    simulate.snr_power(row["snr_db"])):
+                   row["bits"] // (FRAME_USES * MIXED_CFG.total_rate)
+                   for row in rows}
+        # Each cell ran exactly the frames it counted, in one chain of
+        # ranges from frame 0: nothing ran ahead of its stop rule.
+        ran = {}
+        for cfg, mode, start, stop, loading in jobs:
+            ran.setdefault((mode, loading, cfg.power_p), []).append(
+                (start, stop))
+        assert ran.keys() == counted.keys()
+        for key, ranges in ran.items():
+            ends = [0] + [stop for _, stop in ranges]
+            assert [start for start, _ in ranges] == ends[:-1], key
+            assert ends[-1] == counted[key], key
+        # While at least `workers` cells have chunks still to submit, every
+        # chunk goes out as one job.
+        unfinished = set(counted)
+        for cfg, mode, start, stop, loading in jobs:
+            key = (mode, loading, cfg.power_p)
+            if len(unfinished) >= workers:
+                assert stop - start == 400, (key, start)
+            if stop == counted[key]:
+                unfinished.discard(key)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_one_cell_splits_every_chunk(self, cfg, jobs, workers):
+        est = estimate_ber(cfg, "minil", 5.0, target_errors=10**9,
+                           max_bits=3 * 30 * 600, chunk_frames=30,
+                           workers=workers)
+        assert est.bits_sent == 3 * 30 * 600
+        assert [(job[2], job[3]) for job in jobs] == [
+            (30 * c + 30 * i // workers, 30 * c + 30 * (i + 1) // workers)
+            for c in range(3) for i in range(workers)]
+
+    @pytest.mark.parametrize("failure", ["design", "interrupt"])
+    def test_failure_cancels_queued_chunks(self, monkeypatch, tmp_path,
+                                           failure):
+        # Twenty one-chunk cells queue on a 2-process pool.  The first
+        # fails, by a non-finite design in a worker or by an interrupt in
+        # the sweep's own process.  The error must reach the caller
+        # without the later cells' queued chunks running, and no worker
+        # may outlive the sweep.
+        log = tmp_path / "powers.log"
+        run = simulate.run_frames
+
+        def logged(cfg, mode, frame_indices, loading=False):
+            with open(log, "a") as f:
+                f.write(f"{cfg.power_p!r}\n")
+            return run(cfg, mode, frame_indices, loading)
+
+        monkeypatch.setattr(simulate, "run_frames", logged)
+        if failure == "design":
+            solve = simulate.maxsinr_solve_batch
+
+            def broken(h, powers, iterations, init_v):
+                sol = solve(h, powers, iterations, init_v)
+                if powers == 1.0:  # the 0 dB cell
+                    sol.u[0, 0] = np.nan
+                return sol
+
+            monkeypatch.setattr(simulate, "maxsinr_solve_batch", broken)
+            raised = pytest.raises(ValueError,
+                                   match="maxsinr design is non-finite")
+        else:
+            def interrupted(*args, **kwargs):
+                raise KeyboardInterrupt
+
+            monkeypatch.setattr(concurrent.futures, "wait", interrupted)
+            raised = pytest.raises(KeyboardInterrupt)
+        snrs = [float(s) for s in range(20)]
+        cfg = NetworkConfig(k_pairs=3, nt=2, nr=2, iterations=5, seed=0)
+        with raised:
+            sweep(cfg, snrs, [0.0], ["maxsinr"], [False],
+                  target_errors=10**9, max_bits=1, workers=2)
+        ran = set(log.read_text().split()) if log.exists() else set()
+        assert not ran & {repr(simulate.snr_power(s)) for s in snrs[10:]}
+        assert multiprocessing.active_children() == []
 
 
 class TestReceiverRealism:

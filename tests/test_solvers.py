@@ -284,7 +284,8 @@ def test_loop_matches_einsum_oracle(k, nr, nt, frames, monkeypatch):
     # about 1.5e-10 over the 8 iterations, in each summation order tried.
     # Where a MinIL node's smallest eigenvalue is repeated, rounding
     # picks the eigenvector within its eigenspace (see
-    # oracles.alternate), so those frames are compared by leakage only.
+    # oracles.alternate), so those frames are compared by leakage only,
+    # and over one half-step, where the leakage does not depend on it.
     rng = np.random.default_rng(100 * k + 10 * nr + nt + frames)
     h = complex_normal(rng, (frames, k, k, nr, nt))
     init = complex_normal(rng, (frames, k, nt))
@@ -312,6 +313,17 @@ def test_loop_matches_einsum_oracle(k, nr, nt, frames, monkeypatch):
                                        atol=scaled, err_msg="leakage")
             np.testing.assert_allclose(a.sinr[rows], b.sinr[rows], rtol=0,
                                        atol=scaled, err_msg="sinr")
+        # Over one half-step (the loops with no iteration: one combiner
+        # update from the init) each node's leakage is the smallest
+        # eigenvalue of its covariance whichever vector rounding picks, so
+        # there the degenerate frames agree without the two loops feeding
+        # bit-identical covariances to the kernels.
+        hb, p, v = solvers._start(h, powers, 1, init)
+        got, want = (solvers._metrics(
+            hb, *loop(hb, p, 0, v, lambda q, d: solvers.min_eigvec(q)), p)[1]
+            for loop in (solvers._alternate, oracles.alternate))
+        np.testing.assert_allclose(got, want, rtol=0, atol=scaled,
+                                   err_msg="half-step leakage")
 
 
 def test_repeated_min_eigenvalue_frames():
