@@ -3,7 +3,8 @@
 Config files are flat key=value text ('#' comments).  Scalar grids accept
 comma lists (0,5,10) or inclusive ranges (start:stop:step).  Presets
 fig1..fig7 reproduce the standard experiment sweeps; everything lands in
-one CSV per experiment.
+one CSV per experiment.  simulate.sweep_cells, the one cell plan, checks
+a sweep's settings before any output; the rows name the CSV columns.
 """
 
 import argparse
@@ -16,7 +17,7 @@ from pathlib import Path
 
 from .network import NetworkConfig, check_count
 from .simulate import (MODE_ADAPTIVE, MODE_MAXSINR, MODE_MINIL, MODE_SVD,
-                       check_mode_config, fig1_stats, snr_power, sweep)
+                       fig1_stats, sweep, sweep_cells)
 
 # Integer config keys: those of the network, with the NetworkConfig field
 # each sets, and those of the stop rule.
@@ -26,12 +27,6 @@ _NETWORK_KEYS = {"k": "k_pairs", "nt": "nt", "nr": "nr",
 _STOP_KEYS = ("target_errors", "max_bits")
 _CONFIG_KEYS = {*_NETWORK_KEYS, *_STOP_KEYS, "epsilon", "snr_db", "modes",
                 "loading"}
-
-_CSV_COLUMNS = ["experiment", "mode", "loading", "K", "nt", "nr", "snr_db",
-                "epsilon", "bits", "errors", "ber", "ci95", "analytic_ber"]
-
-_FIG1_COLUMNS = ["experiment", "power", "avg_desired_power",
-                 "avg_interference", "minil_baseline", "beamforming_power"]
 
 FIG1_POWERS = [1e0, 1e1, 1e2, 1e3, 1e4]  # linear powers of the fig1 table
 
@@ -83,11 +78,12 @@ def _parse_values(text: str) -> list:
 def parse_config(path) -> Experiment:
     """Load and validate a flat key=value experiment file.
 
-    Unknown keys are rejected by name; infeasible mode/antenna combos get
-    a diagnostic citing the alignment counting condition.
+    Unknown or repeated keys are rejected by name; infeasible mode/antenna
+    combos get a diagnostic citing the alignment counting condition.
     """
     path = Path(path)
     raw: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -97,7 +93,10 @@ def parse_config(path) -> Experiment:
         key, value = (s.strip() for s in line.split("=", 1))
         if key not in _CONFIG_KEYS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        raw[key] = value
+        if key in raw:
+            raise ValueError(f"{path}:{lineno}: key {key!r} repeats line "
+                             f"{first_line[key]}")
+        raw[key], first_line[key] = value, lineno
 
     def integer(key, text):
         try:
@@ -116,9 +115,6 @@ def parse_config(path) -> Experiment:
         for key, value in present(_NETWORK_KEYS).items()})
     snr_db = _parse_values(raw.get("snr_db", "0:30:5"))
     epsilon = _parse_values(raw.get("epsilon", "0"))
-    for eps in epsilon:
-        if not 0.0 <= eps <= 1.0:
-            raise ValueError(f"epsilon {eps} outside [0, 1]")
     modes = [m.strip().lower() for m in raw.get("modes", "minil").split(",")]
     loading_txt = raw.get("loading", "0")
     loading = [integer("loading", x.strip()) for x in loading_txt.split(",")]
@@ -136,16 +132,13 @@ def parse_config(path) -> Experiment:
 def validate_experiment(exp: Experiment):
     """Feasibility checks shared by config files and presets."""
     cfg = exp.cfg
-    for snr_db in exp.snr_db:
-        snr_power(snr_db)
     if not cfg.is_proper and any(
             m in (MODE_MINIL, MODE_MAXSINR, MODE_ADAPTIVE) for m in exp.modes):
         print(f"warning: nt + nr = {cfg.nt + cfg.nr} < K + 1 = "
               f"{cfg.k_pairs + 1}; single-stream alignment is not proper "
               "for this configuration", file=sys.stderr)
-    for mode in exp.modes:
-        for loading in exp.loading:
-            check_mode_config(cfg, mode, loading)
+    if exp.special != "fig1":
+        sweep_cells(cfg, exp.snr_db, exp.epsilon, exp.modes, exp.loading)
 
 
 _SNR = [0, 5, 10, 15, 20, 25, 30]
@@ -191,17 +184,15 @@ def run_experiment(exp: Experiment, out_dir, workers: int = 1,
     out_path = out_dir / f"{exp.name}.csv"
     if exp.special == "fig1":
         rows = fig1_stats(exp.cfg, FIG1_POWERS)
-        columns = _FIG1_COLUMNS
     else:
         rows = sweep(exp.cfg, exp.snr_db, exp.epsilon, exp.modes,
                      exp.loading, target_errors=exp.target_errors,
                      max_bits=exp.max_bits, workers=workers)
-        columns = _CSV_COLUMNS
     with out_path.open("w", newline="") as fh:
         if timestamp:
             stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
             fh.write(f"# generated {stamp}\n")
-        writer = csv.DictWriter(fh, fieldnames=columns)
+        writer = csv.DictWriter(fh, fieldnames=["experiment", *rows[0]])
         writer.writeheader()
         # A missing analytic_ber (None) is written as an empty field.
         writer.writerows({"experiment": exp.name, **row} for row in rows)
@@ -234,12 +225,14 @@ def main(argv=None) -> int:
             exp = parse_config(args.config)
         else:
             exp = preset(args.preset)
+        stop = {key: getattr(args, key) for key in _STOP_KEYS
+                if getattr(args, key) is not None}
+        if stop and exp.special == "fig1":
+            raise ValueError("fig1 takes no stop rule: --target-errors and "
+                             "--max-bits apply to BER sweeps")
+        exp = replace(exp, **stop)
         if args.seed is not None:
             exp.cfg = replace(exp.cfg, seed=args.seed)
-        if args.target_errors is not None:
-            exp.target_errors = args.target_errors
-        if args.max_bits is not None:
-            exp.max_bits = args.max_bits
         path = run_experiment(exp, args.out, workers=args.workers,
                               timestamp=not args.no_timestamp)
     except (ValueError, OSError) as exc:

@@ -47,13 +47,16 @@ _CHUNK_FRAMES = 400  # frames between stop-rule checks
 def check_mode_config(cfg: NetworkConfig, mode: str, loading: bool):
     """Reject configurations a mode cannot carry, before any frame runs.
 
-    The aligned modes carry the network rate R over K channels and
-    SVD-SM over n_min eigenmodes; adaptive carries it over both.  Loaded
-    or not, a channel holds at most MAX_BITS bits: an even split R / n of
-    integer rates is at most MAX_BITS exactly when R <= n * MAX_BITS.
+    Adaptive picks among the loaded designs, so it needs loading.  The
+    aligned modes carry the network rate R over K channels and SVD-SM
+    over n_min eigenmodes; adaptive carries it over both.  A channel
+    holds at most MAX_BITS bits: an even split R / n of integer rates is
+    at most MAX_BITS exactly when R <= n * MAX_BITS.
     """
     if mode not in RUN_MODES:
         raise ValueError(f"unknown mode {mode!r}; choose from {RUN_MODES}")
+    if mode == MODE_ADAPTIVE and not loading:
+        raise ValueError("adaptive needs loading (it picks a loaded design)")
     r = cfg.total_rate
     if mode == MODE_SVD and not loading and r % cfg.n_min:
         raise ValueError(
@@ -259,7 +262,7 @@ def _design(cfg: NetworkConfig, mode: str, loading: bool, h_hat, active,
     modes = (MODE_MAXSINR, MODE_SVD, MODE_MINIL) if adaptive else (mode,)
     init_of = dict(zip(_init_slots(mode), inits, strict=True))
     designs = [_stream_design(cfg, m, h_hat, active, init_of.get(m),
-                              loading or adaptive) for m in modes]
+                              loading) for m in modes]
     if adaptive:
         pick = np.argmin(np.stack([d.predicted for d in designs]), axis=0)
     else:
@@ -330,12 +333,32 @@ def snr_power(snr_db: float) -> float:
     return p
 
 
-def _cell_config(cfg: NetworkConfig, mode: str, snr_db: float,
-                 loading: bool) -> NetworkConfig:
-    """cfg at the cell's SNR, checked against the mode before any frame."""
-    cfg = replace(cfg, power_p=snr_power(snr_db))
-    check_mode_config(cfg, mode, loading)
-    return cfg
+def sweep_cells(cfg: NetworkConfig, snr_grid, eps_grid, modes,
+                loading_flags) -> list:
+    """The one cell plan: checked (cell_cfg, mode, loading, snr_db) cells
+    in grid order, epsilon outermost and SNR innermost.
+
+    cell_cfg is cfg at the cell's epsilon and SNR power, checked against
+    its mode before any frame runs.  Adaptive is skipped at loading=0
+    only when the grid also holds loading=1; otherwise the check rejects.
+    """
+    grids = [list(g) for g in (snr_grid, eps_grid, modes, loading_flags)]
+    if not all(grids):
+        raise ValueError("sweep grids must be nonempty")
+    snr_grid, eps_grid, modes, loading_flags = grids
+    cells = []
+    for eps in eps_grid:
+        cfg_e = replace(cfg, epsilon=float(eps))
+        for mode in modes:
+            for loading in loading_flags:
+                if mode == MODE_ADAPTIVE and not loading and any(
+                        loading_flags):
+                    continue
+                for snr_db in snr_grid:
+                    cell_cfg = replace(cfg_e, power_p=snr_power(snr_db))
+                    check_mode_config(cell_cfg, mode, loading)
+                    cells.append((cell_cfg, mode, loading, float(snr_db)))
+    return cells
 
 
 class _Inline(concurrent.futures.Executor):
@@ -370,7 +393,7 @@ def _executor(workers: int):
 
 def _estimates(cells, workers: int, target_errors: int, max_bits: int,
                chunk_frames: int) -> list:
-    """BER estimate of each checked (cfg, mode, loading) cell, in order.
+    """BER estimate of each sweep_cells cell, in order.
 
     Each cell is a chain of chunks of chunk_frames frames that ends once
     the cell has target_errors errors or max_bits bits.  A cell's next
@@ -394,7 +417,7 @@ def _estimates(cells, workers: int, target_errors: int, max_bits: int,
     with _executor(workers) as pool:
 
         def submit(i):
-            cfg, mode, loading = cells[i]
+            cfg, mode, loading, _ = cells[i]
             start = len(counts[i])
             n = 1 if running >= workers else workers
             bounds = np.linspace(start, start + chunk_frames, n + 1,
@@ -437,11 +460,11 @@ def estimate_ber(cfg: NetworkConfig, mode: str, snr_db: float,
     fixed chunk boundaries and every frame's counts depend only on its
     own substream.  With workers > 1 each chunk is split into `workers`
     frame ranges on one pool opened for this call.  Equals the one-cell
-    sweep at the same stop rule.
+    sweep at cfg.epsilon and the same stop rule.
     """
-    cfg = _cell_config(cfg, mode, snr_db, loading)
-    return _estimates([(cfg, mode, loading)], workers, target_errors,
-                      max_bits, chunk_frames)[0]
+    cells = sweep_cells(cfg, [snr_db], [cfg.epsilon], [mode], [loading])
+    return _estimates(cells, workers, target_errors, max_bits,
+                      chunk_frames)[0]
 
 
 def fig1_stats(cfg: NetworkConfig, p_grid, frames: int = 10_000) -> list:
@@ -491,29 +514,13 @@ def sweep(cfg: NetworkConfig, snr_grid, eps_grid, modes, loading_flags,
           workers: int = 1) -> list:
     """Cross product of settings -> one BER estimate row per cell.
 
-    Every cell is checked before any frame runs.  With workers > 1 the
-    cells then run on one pool of `workers` processes, as chains of
-    chunks in flight together (see _estimates); the counts equal the
-    serial ones, and the rows come in grid order.
+    sweep_cells, the one cell plan, checks every cell before any frame
+    runs.  With workers > 1 the cells then run on one pool of `workers`
+    processes, as chains of chunks in flight together (see _estimates);
+    the counts equal the serial ones, and the rows come in grid order.
     """
-    snr_grid = list(snr_grid)
-    eps_grid = list(eps_grid)
-    modes = list(modes)
-    loading_flags = list(loading_flags)
-    if not (snr_grid and eps_grid and modes and loading_flags):
-        raise ValueError("sweep grids must be nonempty")
-    cells = []
-    for eps in eps_grid:
-        cfg_e = replace(cfg, epsilon=float(eps))
-        for mode in modes:
-            for loading in loading_flags:
-                if mode == MODE_ADAPTIVE and not loading:
-                    continue  # adaptive is defined over the loaded modes
-                for snr_db in snr_grid:
-                    cells.append((_cell_config(cfg_e, mode, snr_db, loading),
-                                  mode, loading, float(snr_db)))
-    ests = _estimates([cell[:3] for cell in cells], workers, target_errors,
-                      max_bits, _CHUNK_FRAMES)
+    cells = sweep_cells(cfg, snr_grid, eps_grid, modes, loading_flags)
+    ests = _estimates(cells, workers, target_errors, max_bits, _CHUNK_FRAMES)
     return [{
         "mode": mode,
         "loading": int(loading),

@@ -144,6 +144,8 @@ def check_mode_config(cfg, mode: str, loading: bool):
     """The engine's mode check, one branch per mode and loading case."""
     if mode not in RUN_MODES:
         raise ValueError(f"unknown mode {mode!r}")
+    if mode == MODE_ADAPTIVE and not loading:
+        raise ValueError("adaptive needs loading")
     r = cfg.total_rate
     if mode != MODE_SVD:
         if loading or mode == MODE_ADAPTIVE:

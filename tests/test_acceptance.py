@@ -16,8 +16,8 @@ from conftest import draw_inits
 from exact_ber import exact_frame_ber, loaded_links
 from iasim.modem import ber_awgn_instant, minil_avg_ber, modulate
 from iasim.network import NetworkConfig
-from iasim.simulate import (_CHUNK_FRAMES, _cell_config, _estimates,
-                            estimate_ber, fig1_stats)
+from iasim.simulate import (_CHUNK_FRAMES, _estimates, estimate_ber,
+                            fig1_stats, sweep_cells)
 from iasim.solvers import evaluate_true_sinr, minil_solve_batch
 
 pytestmark = pytest.mark.acceptance
@@ -40,11 +40,12 @@ def run_curves(cfg, grids, loading=False, target_errors=500,
     each estimate equals estimate_ber's at the same settings.
     """
     cells = [(mode, snr) for mode, snrs in grids.items() for snr in snrs]
-    ests = _estimates([(_cell_config(cfg, mode, snr, loading), mode, loading)
-                       for mode, snr in cells], 2, target_errors, max_bits,
-                      _CHUNK_FRAMES)
+    plan = [cell for mode, snrs in grids.items()
+            for cell in sweep_cells(cfg, snrs, [cfg.epsilon], [mode],
+                                    [loading])]
+    ests = _estimates(plan, 2, target_errors, max_bits, _CHUNK_FRAMES)
     curves = {mode: {} for mode in grids}
-    for (mode, snr), est in zip(cells, ests):
+    for (mode, snr), est in zip(cells, ests, strict=True):
         curves[mode][snr] = est
     return curves
 

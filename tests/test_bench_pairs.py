@@ -44,7 +44,8 @@ BENCH = {
 }
 
 
-def test_pairs_alternate_and_summarise(tmp_path):
+def test_pairs_alternate_and_summarise(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     for side in ("parent", "change"):
         root = tmp_path / side
         (root / "perfbench").mkdir(parents=True)
@@ -55,8 +56,7 @@ def test_pairs_alternate_and_summarise(tmp_path):
     assert bench_pairs.main([
         "--parent", str(tmp_path / "parent"),
         "--change", str(tmp_path / "change"), "--pr", "99", "--pairs", "3",
-        "--first-seed", "11", "--change-note", "faster",
-        "--out-dir", str(tmp_path)]) == 0
+        "--first-seed", "11", "--change-note", "faster"]) == 0
 
     # The side that goes first flips each pair; every run gets the seed,
     # BENCHMARK.json's run_seconds and an untraced run.

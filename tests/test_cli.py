@@ -1,6 +1,7 @@
 import csv
 import re
 import signal
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -58,6 +59,12 @@ class TestParseConfig:
         assert [exp.snr_db, exp.epsilon, exp.modes, exp.loading] == [
             [0, 5, 10, 15, 20, 25, 30], [0.0], ["minil"], [False]]
         assert (exp.target_errors, exp.max_bits) == (200, 20_000_000)
+
+    def test_repeated_key_rejected(self, tmp_path):
+        # Unchecked, the last value won: k = 3 then k = 4 gave K = 4.
+        p = write(tmp_path, "k = 3\nnt = 2\n\nk = 4\n")
+        with pytest.raises(ValueError, match=r":4: key 'k' repeats line 1"):
+            parse_config(p)
 
     def test_malformed_line(self, tmp_path):
         p = write(tmp_path, "k 3\n")
@@ -193,6 +200,15 @@ def tiny_experiment(seed=1):
 
 
 class TestRunExperiment:
+    def test_fig1_header(self, tmp_path):
+        # The header comes from the rows; pin the fig1 table's columns.
+        exp = preset("fig1")
+        exp.cfg = replace(exp.cfg, iterations=2)
+        with run_experiment(exp, tmp_path, timestamp=False).open() as fh:
+            assert next(csv.reader(fh)) == [
+                "experiment", "power", "avg_desired_power",
+                "avg_interference", "minil_baseline", "beamforming_power"]
+
     def test_csv_schema_and_determinism(self, tmp_path):
         path1 = run_experiment(tiny_experiment(), tmp_path / "a",
                                timestamp=False)
@@ -224,8 +240,8 @@ class TestMain:
             main(["--config", "x", "--preset", "fig2"])
 
     def test_config_run(self, tmp_path, capsys):
-        cfg = write(tmp_path, MINIMAL + "target_errors = 10\nmax_bits = 20000\n"
-                    "snr_db = 0\n")
+        cfg = write(tmp_path, MINIMAL.replace("snr_db = 0:30:5", "snr_db = 0")
+                    + "target_errors = 10\nmax_bits = 20000\n")
         rc = main(["--config", str(cfg), "--out", str(tmp_path / "out"),
                    "--no-timestamp", "--seed", "3"])
         assert rc == 0
@@ -283,6 +299,26 @@ class TestMain:
                   + args)
         assert rc == 1
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_unloaded_adaptive_fails_before_output(self, tmp_path, capsys):
+        # Adaptive picks among the loaded designs; a grid with no loaded
+        # flag used to drop it and write a header-only CSV.
+        cfg = write(tmp_path, "modes = adaptive\nloading = 0\n")
+        rc = main(["--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "adaptive needs loading" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("args", [["--target-errors", "10"],
+                                      ["--max-bits", "1000"]])
+    def test_fig1_stop_rule_fails_before_output(self, tmp_path, capsys,
+                                                args):
+        # fig1 is a power table, not a BER sweep: a stop rule is not used.
+        rc = main(["--preset", "fig1", "--out", str(tmp_path / "out")]
+                  + args)
+        assert rc == 1
+        assert "fig1 takes no stop rule" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_missing_file_exit_code(self, tmp_path, capsys):

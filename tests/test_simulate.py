@@ -334,6 +334,16 @@ class TestSweep:
         assert all(row["loading"] == 1 for row in rows)
         assert all(row["analytic_ber"] is None for row in rows)
 
+    def test_unloaded_adaptive_rejected(self, cfg):
+        # Adaptive picks among the loaded designs: without loading it is
+        # rejected, not silently loaded or dropped.
+        with pytest.raises(ValueError, match="adaptive needs loading"):
+            run_frames(cfg, "adaptive", range(2), loading=False)
+        with pytest.raises(ValueError, match="adaptive needs loading"):
+            estimate_ber(cfg, "adaptive", 10.0, loading=False)
+        with pytest.raises(ValueError, match="adaptive needs loading"):
+            sweep(cfg, [0.0], [0.0], ["minil", "adaptive"], [False])
+
     def test_empty_grid_rejected(self, cfg):
         with pytest.raises(ValueError):
             sweep(cfg, [], [0.0], ["minil"], [False])

@@ -120,10 +120,10 @@ def test_run_frames_peak_memory_is_bounded():
     # The 4-user 3x2 adaptive batch holds three designs' transmit paths;
     # blocking keeps the transmit temporaries to a small fixed size.
     cfg = NetworkConfig(k_pairs=4, nt=3, nr=2, power_p=10.0, iterations=20)
-    simulate.run_frames(cfg, "adaptive", range(4))  # warm lazy set-up
+    simulate.run_frames(cfg, "adaptive", range(4), loading=True)  # warm up
     tracemalloc.start()
     try:
-        simulate.run_frames(cfg, "adaptive", range(400))
+        simulate.run_frames(cfg, "adaptive", range(400), loading=True)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -12,7 +12,8 @@ checkout; the side that goes first flips from pair to pair.  The summary
 gives, per workload and metric, the median and inclusive quartiles on
 each side, the number of pairs the change wins and the ratio of the
 medians, along with the failed and attempted cells and the SHA-256 of
-each side's src/iasim.
+each side's src/iasim.  It is written to BENCH_<pr>.json in the working
+directory.
 """
 
 import argparse
@@ -92,7 +93,6 @@ def main(argv=None) -> int:
     parser.add_argument("--change-note", default="",
                         help="what the change does, for the record")
     parser.add_argument("--parent-commit", default=None)
-    parser.add_argument("--out-dir", type=Path, default=Path("."))
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
@@ -151,7 +151,7 @@ def main(argv=None) -> int:
             } for w, pairs in runs.items()
         },
     }
-    path = args.out_dir / f"BENCH_{args.pr}.json"
+    path = Path(f"BENCH_{args.pr}.json")
     path.write_text(json.dumps(record, indent=1) + "\n")
     print(path)
     return 0
