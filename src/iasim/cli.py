@@ -183,7 +183,7 @@ def run_experiment(exp: Experiment, out_dir, workers: int = 1,
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / f"{exp.name}.csv"
     if exp.special == "fig1":
-        rows = fig1_stats(exp.cfg, FIG1_POWERS)
+        rows = fig1_stats(exp.cfg, FIG1_POWERS, workers=workers)
     else:
         rows = sweep(exp.cfg, exp.snr_db, exp.epsilon, exp.modes,
                      exp.loading, target_errors=exp.target_errors,

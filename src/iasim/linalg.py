@@ -16,9 +16,41 @@ _DEGENERATE_3X3 = 1e-6
 
 
 def unit(v: np.ndarray) -> np.ndarray:
-    """Normalize vectors along the last axis."""
-    n = np.linalg.norm(v, axis=-1, keepdims=True)
-    return v / np.maximum(n, _TINY)
+    """Normalize vectors along the last axis (an integer v as float).
+
+    The norm is np.linalg.norm's vector 2-norm expression, called without
+    its dispatch.
+    """
+    v = np.asarray(v)
+    w = v if issubclass(v.dtype.type, np.inexact) else v.astype(float)
+    n = np.sqrt(np.add.reduce((w.conj() * w).real, axis=-1, keepdims=True))
+    return v / np.maximum(n, _TINY, out=n)
+
+
+def _unit_phase(cols) -> np.ndarray:
+    """`unit`, then `_fix_phase`, for vectors given as their 2 or 3
+    component arrays; returns the vectors stacked on a last axis.
+
+    This is their arithmetic component by component: numpy sums a short
+    axis left to right (a squared magnitude is never -0, so no leading 0.0
+    is needed), and the lead entry is argmax's, the first largest
+    magnitude or the first NaN.
+    """
+    s = [(c.conj() * c).real for c in cols]
+    n = np.maximum(np.sqrt(sum(s[1:], s[0])), _TINY)
+    u = [c / n for c in cols]
+    m = [np.abs(x) for x in u]
+    if len(u) == 2:
+        lead = np.where((m[0] >= m[1]) | (m[0] != m[0]), u[0], u[1])
+    else:
+        lead = np.where(((m[0] >= m[1]) & (m[0] >= m[2])) | (m[0] != m[0]),
+                        u[0], np.where((m[1] >= m[2]) | (m[1] != m[1]),
+                                       u[1], u[2]))
+    phase = np.conjugate(lead / np.maximum(np.abs(lead), _TINY))
+    out = np.empty(np.shape(phase) + (len(u),), phase.dtype)
+    for j, x in enumerate(u):
+        np.multiply(x, phase, out=out[..., j])
+    return out
 
 
 def _fix_phase(v: np.ndarray) -> np.ndarray:
@@ -35,33 +67,31 @@ def _fix_phase(v: np.ndarray) -> np.ndarray:
 def _min_eigvec_2x2(a: np.ndarray) -> np.ndarray:
     """Unit eigenvector of the smallest eigenvalue, closed form.
 
-    `a` is stacked Hermitian (..., 2, 2).  Degenerate spectra resolve to
-    the lowest-index basis vector.
+    `a` is stacked Hermitian (..., 2, 2).  Of the two null-vector
+    candidates of A - lam I, (b, lam - p) and (lam - q, b*), the larger
+    is taken.  Degenerate spectra (a ~ scaled identity) resolve to the
+    basis vector of the smaller diagonal entry, e0 on a tie.
     """
     p = a[..., 0, 0].real
     q = a[..., 1, 1].real
     b = a[..., 0, 1]
-    half_gap = 0.5 * (p - q)
-    root = np.sqrt(half_gap**2 + np.abs(b) ** 2)
-    lam = 0.5 * (p + q) - root
-
-    # Two algebraic null-vector candidates of (A - lam I); pick the larger.
-    v1 = np.stack([b, lam - p], axis=-1)
-    v2 = np.stack([lam - q, b.conj()], axis=-1)
-    n1 = np.abs(b) ** 2 + (lam - p) ** 2
-    n2 = np.abs(b) ** 2 + (lam - q) ** 2
-    v = np.where((n1 >= n2)[..., None], v1, v2)
-
-    # Degenerate (a ~ scaled identity): fall back to e0 or e1 by diagonal.
-    scale = p + q + np.abs(b)
-    bad = np.maximum(n1, n2) <= (1e-30 * np.maximum(scale, 1.0) ** 2)
-    if np.any(bad):
-        e = np.zeros_like(v)
-        first = p <= q
-        e[..., 0] = np.where(first, 1.0, 0.0)
-        e[..., 1] = np.where(first, 0.0, 1.0)
-        v = np.where(bad[..., None], e, v)
-    return unit(v)
+    mag = np.abs(b)
+    mag2 = mag**2
+    pq = p + q
+    lam = 0.5 * pq - np.sqrt((0.5 * (p - q))**2 + mag2)
+    lp = lam - p
+    lq = lam - q
+    n1 = mag2 + lp**2
+    n2 = mag2 + lq**2
+    first = n1 >= n2
+    v0 = np.where(first, b, lq)
+    v1 = np.where(first, lp, b.conj())
+    bad = np.maximum(n1, n2) <= (1e-30 * np.maximum(pq + mag, 1.0) ** 2)
+    if bad.any():
+        low = p <= q
+        v0 = np.where(bad, low, v0)
+        v1 = np.where(bad, ~low, v1)
+    return _unit_phase((v0, v1))
 
 
 def _abs2(z):
@@ -69,38 +99,42 @@ def _abs2(z):
     return z.real**2 + z.imag**2
 
 
-def _null_vector_3x3(d, a01, a02, a12, lam):
-    """The largest cross product of two rows of A - lam I, and its norm^2.
+def _null_vector_3x3(d, a01, a02, a12, o, prods, lam):
+    """The largest cross product of two rows of A - lam I, as its three
+    component arrays, and its norm^2.
 
     `d` holds A's diagonal as three real arrays, a01, a02 and a12 its
-    upper entries.  Each row of A - lam I times a null vector is zero
-    (without conjugation), so where lam is an eigenvalue of multiplicity
-    one the cross product of two rows lies along its eigenvector.  The
-    three products are the columns of the Hermitian adjugate of A - lam I,
-    written through its diagonal g and its upper entries x, y, z.
+    upper entries, `o` their |a_ij|^2 and `prods` the products a01 a12,
+    a02 a01* and a02 a12*, which do not depend on lam.  Each row of
+    A - lam I times a null vector is zero (without conjugation), so where
+    lam is an eigenvalue of multiplicity one the cross product of two rows
+    lies along its eigenvector.  The three products are the columns of
+    the Hermitian adjugate of A - lam I, written through its diagonal g
+    and its upper entries x, y, z.
     """
+    o01, o02, o12 = o
+    c01_12, c02_01, c02_12 = prods
     m0, m1, m2 = (di - lam for di in d)
-    g0 = m1 * m2 - _abs2(a12)
-    g1 = m0 * m2 - _abs2(a02)
-    g2 = m0 * m1 - _abs2(a01)
-    x = a01 * a12 - a02 * m1
-    y = a02 * a01.conj() - m0 * a12
-    z = a01 * m2 - a02 * a12.conj()
+    g0 = m1 * m2 - o12
+    g1 = m0 * m2 - o02
+    g2 = m0 * m1 - o01
+    x = c01_12 - a02 * m1
+    y = c02_01 - m0 * a12
+    z = a01 * m2 - c02_12
     ax, ay, az = _abs2(x), _abs2(y), _abs2(z)
     n01 = ax + ay + g2**2           # rows 0 x 1 = (x, y, g2)
     n02 = az + ay + g1**2           # rows 0 x 2 = (z, -g1, -y*)
     n12 = ax + az + g0**2           # rows 1 x 2 = (g0, -z*, x*)
     k01 = (n01 >= n02) & (n01 >= n12)
     k02 = ~k01 & (n02 >= n12)
-    v = np.stack([np.where(k01, x, np.where(k02, z, g0)),
-                  np.where(k01, y, np.where(k02, -g1, -z.conj())),
-                  np.where(k01, g2, np.where(k02, -y.conj(), x.conj()))],
-                 axis=-1)
+    v = (np.where(k01, x, np.where(k02, z, g0)),
+         np.where(k01, y, np.where(k02, -g1, -z.conj())),
+         np.where(k01, g2, np.where(k02, -y.conj(), x.conj())))
     return v, np.maximum(n01, np.maximum(n02, n12))
 
 
 def _min_eigvec_3x3(a: np.ndarray) -> np.ndarray:
-    """Eigenvector of the smallest eigenvalue, closed form, not normalized.
+    """Unit eigenvector of the smallest eigenvalue, closed form.
 
     `a` is stacked Hermitian (..., 3, 3).  The eigenvalue is the
     trigonometric root of the characteristic cubic of the trace-shifted
@@ -111,32 +145,47 @@ def _min_eigvec_3x3(a: np.ndarray) -> np.ndarray:
     Rayleigh quotient of the first vector gives lam again and the vector
     is formed once more.  Near-degenerate spectra (the identity, the zero
     matrix, rank one: the step can move lam off a double root) go to `eigh`.
+
+    Everything runs on one array per matrix entry or vector component,
+    and the terms that do not depend on lam are formed once.  A sum over
+    a vector's components is written out as numpy sums a short axis, left
+    to right from 0.0, so its bits are those of the sum over a stacked
+    axis.
     """
-    d = tuple(a[..., i, i].real for i in range(3))
-    a01, a02, a12 = a[..., 0, 1], a[..., 0, 2], a[..., 1, 2]
-    o01, o02, o12 = _abs2(a01), _abs2(a02), _abs2(a12)
+    e = [[a[..., i, j] for j in range(3)] for i in range(3)]
+    d = tuple(e[i][i].real for i in range(3))
+    a01, a02, a12 = e[0][1], e[0][2], e[1][2]
+    o = o01, o02, o12 = _abs2(a01), _abs2(a02), _abs2(a12)
+    off2 = 2.0 * (o01 + o02 + o12)
+    c01_12 = a01 * a12
+    prods = c01_12, a02 * a01.conj(), a02 * a12.conj()
     mean = sum(d) / 3.0
     s0, s1, s2 = (di - mean for di in d)
-    p = np.sqrt((s0**2 + s1**2 + s2**2 + 2.0 * (o01 + o02 + o12)) / 6.0)
-    det = (s0 * s1 * s2 + 2.0 * (a01 * a12 * a02.conj()).real
+    p = np.sqrt((s0**2 + s1**2 + s2**2 + off2) / 6.0)
+    det = (s0 * s1 * s2 + 2.0 * (c01_12 * a02.conj()).real
            - s0 * o12 - s1 * o02 - s2 * o01)
     r = np.clip(det / np.maximum(2.0 * p**3, _TINY), -1.0, 1.0)
     lam = mean + 2.0 * p * np.cos(np.arccos(r) / 3.0 + 2.0 * np.pi / 3.0)
 
-    v, n1 = _null_vector_3x3(d, a01, a02, a12, lam)
+    v, n1 = _null_vector_3x3(d, a01, a02, a12, o, prods, lam)
     # lam += v^H (A - lam I) v / v^H v; a zero v leaves lam in place.
-    # A v is summed elementwise, so its bits do not depend on a's layout.
-    w = _abs2(v).sum(axis=-1)
-    av = sum(a[..., :, j] * v[..., j, None] for j in range(3))
-    lam = lam + (((v.conj() * av).sum(axis=-1).real - lam * w)
-                 / np.maximum(w, _TINY))
-    v, n2 = _null_vector_3x3(d, a01, a02, a12, lam)
+    # np.multiply, because for a single matrix av is a numpy scalar, whose
+    # operators skip the FMA of the array loops.
+    w = _abs2(v[0]) + _abs2(v[1]) + _abs2(v[2])
+    rq = 0.0
+    for ei, vi in zip(e, v):
+        av = 0 + ei[0] * v[0] + ei[1] * v[1] + ei[2] * v[2]
+        rq = rq + np.multiply(vi.conj(), av).real
+    lam = lam + (rq - lam * w) / np.maximum(w, _TINY)
+    v, n2 = _null_vector_3x3(d, a01, a02, a12, o, prods, lam)
 
-    fro2 = d[0]**2 + d[1]**2 + d[2]**2 + 2.0 * (o01 + o02 + o12)
+    fro2 = d[0]**2 + d[1]**2 + d[2]**2 + off2
     bad = np.minimum(n1, n2) <= _DEGENERATE_3X3 * fro2**2
-    if np.any(bad):
-        v[bad] = np.linalg.eigh(a[bad])[1][..., :, 0]
-    return v
+    if bad.any():
+        vec = np.linalg.eigh(a[bad])[1]
+        for j, vj in enumerate(v):
+            vj[bad] = vec[..., j, 0]
+    return _unit_phase(v)
 
 
 def min_eigvec(a: np.ndarray) -> np.ndarray:
@@ -150,11 +199,18 @@ def min_eigvec(a: np.ndarray) -> np.ndarray:
     if n == 1:
         return np.ones(a.shape[:-1], dtype=complex)
     if n == 2:
-        return _fix_phase(_min_eigvec_2x2(a))
+        return _min_eigvec_2x2(a)
     if n == 3:
-        return _fix_phase(unit(_min_eigvec_3x3(a)))
+        return _min_eigvec_3x3(a)
     _, vec = np.linalg.eigh(a)
     return _fix_phase(vec[..., :, 0])
+
+
+def _quotient_vectors(num, den, n: int) -> np.ndarray:
+    """An empty (..., n) array for vectors whose entries are quotients
+    like num / den."""
+    shape = np.broadcast_shapes(np.shape(num), np.shape(den))
+    return np.empty(shape + (n,), np.result_type(num, den))
 
 
 def _solve_posdef_3x3(b: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -175,10 +231,14 @@ def _solve_posdef_3x3(b: np.ndarray, x: np.ndarray) -> np.ndarray:
     z0 = x[..., 0]
     z1 = x[..., 1] - l10 * z0
     z2 = x[..., 2] - l20 * z0 - l21 * z1
-    y2 = z2 / d2
-    y1 = z1 / d1 - l21.conj() * y2
-    y0 = z0 / d0 - l10.conj() * y1 - l20.conj() * y2
-    return np.stack([y0, y1, y2], axis=-1)
+    # Each entry is read back through [()]: for a single system that is a
+    # numpy scalar, whose products, like those of z0..z2, skip the FMA of
+    # the array loops.
+    y = _quotient_vectors(z2, d2, 3)
+    y2 = np.divide(z2, d2, out=y[..., 2])[()]
+    y1 = np.subtract(z1 / d1, l21.conj() * y2, out=y[..., 1])[()]
+    np.subtract(z0 / d0 - l10.conj() * y1, l20.conj() * y2, out=y[..., 0])
+    return y
 
 
 def solve_posdef(b: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -196,9 +256,12 @@ def solve_posdef(b: np.ndarray, x: np.ndarray) -> np.ndarray:
         b11 = b[..., 1, 1]
         det = np.maximum(b00.real * b11.real - np.abs(b01) ** 2,
                          b00.real + b11.real - 1)
-        y0 = (b11 * x[..., 0] - b01 * x[..., 1]) / det
-        y1 = (b00 * x[..., 1] - b01.conj() * x[..., 0]) / det
-        return np.stack([y0, y1], axis=-1)
+        n0 = b11 * x[..., 0] - b01 * x[..., 1]
+        y = _quotient_vectors(n0, det, 2)
+        np.divide(n0, det, out=y[..., 0])
+        np.divide(b00 * x[..., 1] - b01.conj() * x[..., 0], det,
+                  out=y[..., 1])
+        return y
     if b.shape[-1] == 3:
         return _solve_posdef_3x3(b, x)
     return np.linalg.solve(b, x[..., None])[..., 0]

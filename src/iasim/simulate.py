@@ -341,10 +341,16 @@ def sweep_cells(cfg: NetworkConfig, snr_grid, eps_grid, modes,
     cell_cfg is cfg at the cell's epsilon and SNR power, checked against
     its mode before any frame runs.  Adaptive is skipped at loading=0
     only when the grid also holds loading=1; otherwise the check rejects.
+    A grid that repeats a value is rejected: it would run the same cells
+    twice.
     """
     grids = [list(g) for g in (snr_grid, eps_grid, modes, loading_flags)]
     if not all(grids):
         raise ValueError("sweep grids must be nonempty")
+    for name, grid in zip(("snr_db", "epsilon", "modes", "loading"), grids):
+        repeated = [x for i, x in enumerate(grid) if x in grid[:i]]
+        if repeated:
+            raise ValueError(f"{name} grid repeats {repeated[0]}")
     snr_grid, eps_grid, modes, loading_flags = grids
     cells = []
     for eps in eps_grid:
@@ -467,32 +473,53 @@ def estimate_ber(cfg: NetworkConfig, mode: str, snr_db: float,
                       chunk_frames)[0]
 
 
-def fig1_stats(cfg: NetworkConfig, p_grid, frames: int = 10_000) -> list:
+def _fig1_frames(args):
+    """Per-frame values behind the fig1 table for frames start..stop-1:
+    sigma_max of each direct channel, and |z|^2 and leakage per power
+    and pair, (P, K, F).  Pair-major is the solvers' own memory order, in
+    which a whole-batch mean sums them."""
+    cfg, p_grid, start, stop = args
+    _, h_hat, _, (init_x,) = _sample_frames(cfg, range(start, stop), 1)
+    k = cfg.k_pairs
+    direct = h_hat[:, np.arange(k), np.arange(k)]
+    smax = np.linalg.svd(direct.reshape(-1, cfg.nr, cfg.nt),
+                         compute_uv=False)[:, 0]
+    sols = [maxsinr_solve_batch(h_hat, p, cfg.iterations, init_x)
+            for p in p_grid]
+    return (smax, np.array([(np.abs(sol.z) ** 2).T for sol in sols]),
+            np.array([sol.leakage.T for sol in sols]))
+
+
+def fig1_stats(cfg: NetworkConfig, p_grid, frames: int = 10_000,
+               workers: int = 1) -> list:
     """Average desired-signal and interference power of the SINR design.
 
     For each power on the grid: mean |z|^2 and mean per-pair leakage over
     `frames` Monte Carlo frames, alongside the aligned-design baseline
     (unit power) and the matched-beamforming ceiling estimated by
-    singular-value sampling of the same frames' direct channels.
+    singular-value sampling of the same frames' direct channels.  With
+    workers > 1 the frames are split into `workers` ranges on one pool.
+    Each mean is taken once, over the per-frame values of each pair in
+    frame order, pair after pair, so the rows do not depend on the worker
+    count.
     """
     check_count("frames", frames)
-    _, h_hat, _, (init_x,) = _sample_frames(cfg, range(frames), 1)
-    k = cfg.k_pairs
-    direct = h_hat[:, np.arange(k), np.arange(k)]
-    smax = np.linalg.svd(direct.reshape(-1, cfg.nr, cfg.nt),
-                         compute_uv=False)[:, 0]
-    e_sigma_max_sq = float(np.mean(smax**2))
-    rows = []
-    for p in p_grid:
-        sol = maxsinr_solve_batch(h_hat, float(p), cfg.iterations, init_x)
-        rows.append({
-            "power": float(p),
-            "avg_desired_power": float(np.mean(np.abs(sol.z) ** 2)),
-            "avg_interference": float(np.mean(sol.leakage)),
-            "minil_baseline": 1.0,
-            "beamforming_power": e_sigma_max_sq,
-        })
-    return rows
+    check_count("workers", workers)
+    p_grid = [float(p) for p in p_grid]
+    bounds = np.linspace(0, frames, min(workers, frames) + 1, dtype=int)
+    with _executor(workers) as pool:
+        parts = [pool.submit(_fig1_frames, (cfg, p_grid, int(a), int(b)))
+                 for a, b in zip(bounds[:-1], bounds[1:])]
+        smax, z2, leakage = zip(*(part.result() for part in parts))
+    e_sigma_max_sq = float(np.mean(np.concatenate(smax) ** 2))
+    return [{
+        "power": p,
+        "avg_desired_power": float(np.mean(z2_p)),
+        "avg_interference": float(np.mean(leakage_p)),
+        "minil_baseline": 1.0,
+        "beamforming_power": e_sigma_max_sq,
+    } for p, z2_p, leakage_p in zip(p_grid, np.concatenate(z2, axis=-1),
+                                    np.concatenate(leakage, axis=-1))]
 
 
 def analytic_ber(cfg: NetworkConfig, mode: str, snr_db: float,

@@ -1,14 +1,15 @@
 """Reference versions of the engine's batched layers.
 
 Each function here is the frame-by-frame (or channel-by-channel, or
-einsum, or LAPACK, or scipy) form of a function in the package; the tests
-compare the two.  The package matches them exactly, except the solver
-loop, which matches `alternate` to within rounding, the closed-form 3x3
-kernels, which match `min_eigvec` and `solve_posdef` to within rounding,
-the Cephes port behind `modem.qfunc`, which matches `qfunc` to within
-rounding, the Max-SINR prediction, which sums in another order, and the
-mode check, which rejects the same cases with other messages.  None of
-them runs in the engine.
+einsum, or LAPACK, or scipy, or unfused) form of a function in the
+package; the tests compare the two.  The package matches them exactly,
+except the solver loop, which matches `alternate` to within rounding, the
+closed-form 3x3 kernels, which match the LAPACK `min_eigvec` and
+`solve_posdef` to within rounding (and their unfused forms byte for
+byte), the Cephes port behind `modem.qfunc`, which matches `qfunc` to
+within rounding, the Max-SINR prediction, which sums in another order,
+and the mode check, which rejects the same cases with other messages.
+None of them runs in the engine.
 """
 
 import math
@@ -18,7 +19,6 @@ from scipy.special import erfc
 
 from iasim import modem
 from iasim.bitload import check_rate_budget
-from iasim.linalg import _fix_phase, unit
 from iasim.modem import MAX_BITS, ber_awgn_instant
 from iasim.simulate import MODE_ADAPTIVE, MODE_SVD, RUN_MODES
 from iasim.solvers import _offdiag_power, cross_gains
@@ -62,7 +62,190 @@ def draw_inits(cfg, rngs, n: int) -> np.ndarray:
 def min_eigvec(a) -> np.ndarray:
     """LAPACK's eigenvector of each matrix's smallest eigenvalue, with the
     package's phase rule."""
-    return _fix_phase(np.linalg.eigh(a)[1][..., :, 0])
+    return fix_phase(np.linalg.eigh(a)[1][..., :, 0])
+
+
+# The closed-form kernels as the package had them before their numpy
+# passes were fused: each stacks its candidates and normalises, then
+# fixes the phase, as separate steps.  The package's kernels match these
+# byte for byte.
+
+_TINY = 1e-300
+_DEGENERATE_3X3 = 1e-6
+
+
+def unit(v: np.ndarray) -> np.ndarray:
+    """Normalize vectors along the last axis."""
+    n = np.linalg.norm(v, axis=-1, keepdims=True)
+    return v / np.maximum(n, _TINY)
+
+
+def fix_phase(v: np.ndarray) -> np.ndarray:
+    """Rotate each vector so its largest-magnitude entry is real positive.
+
+    Keeps eigenvector output deterministic across BLAS variants.
+    """
+    idx = np.argmax(np.abs(v), axis=-1, keepdims=True)
+    lead = np.take_along_axis(v, idx, axis=-1)
+    phase = lead / np.maximum(np.abs(lead), _TINY)
+    return v * phase.conj()
+
+
+def min_eigvec_2x2(a: np.ndarray) -> np.ndarray:
+    """Unit eigenvector of the smallest eigenvalue, closed form.
+
+    `a` is stacked Hermitian (..., 2, 2).  Degenerate spectra resolve to
+    the lowest-index basis vector.
+    """
+    p = a[..., 0, 0].real
+    q = a[..., 1, 1].real
+    b = a[..., 0, 1]
+    half_gap = 0.5 * (p - q)
+    root = np.sqrt(half_gap**2 + np.abs(b) ** 2)
+    lam = 0.5 * (p + q) - root
+
+    # Two algebraic null-vector candidates of (A - lam I); pick the larger.
+    v1 = np.stack([b, lam - p], axis=-1)
+    v2 = np.stack([lam - q, b.conj()], axis=-1)
+    n1 = np.abs(b) ** 2 + (lam - p) ** 2
+    n2 = np.abs(b) ** 2 + (lam - q) ** 2
+    v = np.where((n1 >= n2)[..., None], v1, v2)
+
+    # Degenerate (a ~ scaled identity): fall back to e0 or e1 by diagonal.
+    scale = p + q + np.abs(b)
+    bad = np.maximum(n1, n2) <= (1e-30 * np.maximum(scale, 1.0) ** 2)
+    if np.any(bad):
+        e = np.zeros_like(v)
+        first = p <= q
+        e[..., 0] = np.where(first, 1.0, 0.0)
+        e[..., 1] = np.where(first, 0.0, 1.0)
+        v = np.where(bad[..., None], e, v)
+    return unit(v)
+
+
+def abs2(z):
+    """|z|^2 without the square root of np.abs."""
+    return z.real**2 + z.imag**2
+
+
+def null_vector_3x3(d, a01, a02, a12, lam):
+    """The largest cross product of two rows of A - lam I, and its norm^2.
+
+    `d` holds A's diagonal as three real arrays, a01, a02 and a12 its
+    upper entries.  Each row of A - lam I times a null vector is zero
+    (without conjugation), so where lam is an eigenvalue of multiplicity
+    one the cross product of two rows lies along its eigenvector.  The
+    three products are the columns of the Hermitian adjugate of A - lam I,
+    written through its diagonal g and its upper entries x, y, z.
+    """
+    m0, m1, m2 = (di - lam for di in d)
+    g0 = m1 * m2 - abs2(a12)
+    g1 = m0 * m2 - abs2(a02)
+    g2 = m0 * m1 - abs2(a01)
+    x = a01 * a12 - a02 * m1
+    y = a02 * a01.conj() - m0 * a12
+    z = a01 * m2 - a02 * a12.conj()
+    ax, ay, az = abs2(x), abs2(y), abs2(z)
+    n01 = ax + ay + g2**2           # rows 0 x 1 = (x, y, g2)
+    n02 = az + ay + g1**2           # rows 0 x 2 = (z, -g1, -y*)
+    n12 = ax + az + g0**2           # rows 1 x 2 = (g0, -z*, x*)
+    k01 = (n01 >= n02) & (n01 >= n12)
+    k02 = ~k01 & (n02 >= n12)
+    v = np.stack([np.where(k01, x, np.where(k02, z, g0)),
+                  np.where(k01, y, np.where(k02, -g1, -z.conj())),
+                  np.where(k01, g2, np.where(k02, -y.conj(), x.conj()))],
+                 axis=-1)
+    return v, np.maximum(n01, np.maximum(n02, n12))
+
+
+def min_eigvec_3x3(a: np.ndarray) -> np.ndarray:
+    """Eigenvector of the smallest eigenvalue, closed form, not normalized.
+
+    `a` is stacked Hermitian (..., 3, 3).  The eigenvalue is the
+    trigonometric root of the characteristic cubic of the trace-shifted
+    matrix (Kopp, "Efficient numerical diagonalization of hermitian 3x3
+    matrices", IJMPC 19, 2008, arXiv:physics/0610206), and the vector the
+    largest cross product of two rows of A - lam I.  That root loses
+    accuracy as the two smallest eigenvalues approach each other, so the
+    Rayleigh quotient of the first vector gives lam again and the vector
+    is formed once more.  Near-degenerate spectra (the identity, the zero
+    matrix, rank one: the step can move lam off a double root) go to `eigh`.
+    """
+    d = tuple(a[..., i, i].real for i in range(3))
+    a01, a02, a12 = a[..., 0, 1], a[..., 0, 2], a[..., 1, 2]
+    o01, o02, o12 = abs2(a01), abs2(a02), abs2(a12)
+    mean = sum(d) / 3.0
+    s0, s1, s2 = (di - mean for di in d)
+    p = np.sqrt((s0**2 + s1**2 + s2**2 + 2.0 * (o01 + o02 + o12)) / 6.0)
+    det = (s0 * s1 * s2 + 2.0 * (a01 * a12 * a02.conj()).real
+           - s0 * o12 - s1 * o02 - s2 * o01)
+    r = np.clip(det / np.maximum(2.0 * p**3, _TINY), -1.0, 1.0)
+    lam = mean + 2.0 * p * np.cos(np.arccos(r) / 3.0 + 2.0 * np.pi / 3.0)
+
+    v, n1 = null_vector_3x3(d, a01, a02, a12, lam)
+    # lam += v^H (A - lam I) v / v^H v; a zero v leaves lam in place.
+    # A v is summed elementwise, so its bits do not depend on a's layout.
+    w = abs2(v).sum(axis=-1)
+    av = sum(a[..., :, j] * v[..., j, None] for j in range(3))
+    lam = lam + (((v.conj() * av).sum(axis=-1).real - lam * w)
+                 / np.maximum(w, _TINY))
+    v, n2 = null_vector_3x3(d, a01, a02, a12, lam)
+
+    fro2 = d[0]**2 + d[1]**2 + d[2]**2 + 2.0 * (o01 + o02 + o12)
+    bad = np.minimum(n1, n2) <= _DEGENERATE_3X3 * fro2**2
+    if np.any(bad):
+        v[bad] = np.linalg.eigh(a[bad])[1][..., :, 0]
+    return v
+
+
+def closed_min_eigvec(a) -> np.ndarray:
+    """`linalg.min_eigvec` on 2x2 or 3x3 matrices, through the kernels
+    above."""
+    a = np.asarray(a)
+    if a.shape[-1] == 2:
+        return fix_phase(min_eigvec_2x2(a))
+    return fix_phase(unit(min_eigvec_3x3(a)))
+
+
+def solve_posdef_3x3(b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Unrolled LDL^H solve of stacked 3x3 b = I + Q, Q Hermitian PSD.
+
+    Each pivot is a Schur complement of b, and (I + Q)'s Schur complements
+    are at least I, so every pivot is clamped at 1 where cancellation would
+    take it below.
+    """
+    b01, b02, b12 = b[..., 0, 1], b[..., 0, 2], b[..., 1, 2]
+    d0 = np.maximum(b[..., 0, 0].real, 1.0)
+    l10 = b01.conj() / d0
+    l20 = b02.conj() / d0
+    d1 = np.maximum(b[..., 1, 1].real - abs2(b01) / d0, 1.0)
+    l21 = (b12.conj() - l20 * b01) / d1
+    d2 = np.maximum(b[..., 2, 2].real - abs2(b02) / d0 - d1 * abs2(l21),
+                    1.0)
+    z0 = x[..., 0]
+    z1 = x[..., 1] - l10 * z0
+    z2 = x[..., 2] - l20 * z0 - l21 * z1
+    y2 = z2 / d2
+    y1 = z1 / d1 - l21.conj() * y2
+    y0 = z0 / d0 - l10.conj() * y1 - l20.conj() * y2
+    return np.stack([y0, y1, y2], axis=-1)
+
+
+def closed_solve_posdef(b, x) -> np.ndarray:
+    """`linalg.solve_posdef` on 2x2 or 3x3 matrices, each closed form
+    ending in np.stack."""
+    b = np.asarray(b)
+    x = np.asarray(x)
+    if b.shape[-1] == 3:
+        return solve_posdef_3x3(b, x)
+    b00 = b[..., 0, 0]
+    b01 = b[..., 0, 1]
+    b11 = b[..., 1, 1]
+    det = np.maximum(b00.real * b11.real - np.abs(b01) ** 2,
+                     b00.real + b11.real - 1)
+    y0 = (b11 * x[..., 0] - b01 * x[..., 1]) / det
+    y1 = (b00 * x[..., 1] - b01.conj() * x[..., 0]) / det
+    return np.stack([y0, y1], axis=-1)
 
 
 def solve_posdef(b, x) -> np.ndarray:

@@ -259,7 +259,7 @@ def test_criterion_8_equivalent_channel_distribution(cfg22):
 
 def test_criterion_9_bounded_interference_statistics(cfg32):
     rows = fig1_stats(cfg32, [1.0, 10.0, 100.0, 1000.0, 10000.0],
-                      frames=10_000)
+                      frames=10_000, workers=2)
     leak = [r["avg_interference"] for r in rows]
     ratios = [b / a for a, b in zip(leak, leak[1:])]
     bracket = all(1.0 <= r["avg_desired_power"] <= r["beamforming_power"]

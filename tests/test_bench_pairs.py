@@ -87,3 +87,76 @@ def test_pairs_alternate_and_summarise(tmp_path, monkeypatch):
     assert fps["median_ratio_change_over_parent"] == round(152 / 102, 4)
     assert [r["first"] for r in w1["runs"]] == ["parent", "change", "parent"]
     assert w1["runs"][1]["change"] == {"sweep_s": 3.5, "frames_per_s": 152.0}
+
+    # Both metrics are better and so within their bounds.  sweep_s wins
+    # every pair, but its median gain (0.5 s) does not exceed the parent's
+    # quartile distance (1 s); frames_per_s gains 50/s against 1/s.
+    assert sweep["within_bound"] and fps["within_bound"]
+    assert not sweep["claim_holds"]
+    assert fps["claim_holds"]
+    assert "trace" not in record
+
+
+def test_traced_run_per_workload_and_side(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for side in ("parent", "change"):
+        root = tmp_path / side
+        (root / "perfbench").mkdir(parents=True)
+        (root / "perfbench" / "run.py").write_text(FAKE_RUN)
+        (root / "src" / "iasim").mkdir(parents=True)
+        (root / "BENCHMARK.json").write_text(json.dumps(BENCH))
+    assert bench_pairs.main([
+        "--parent", str(tmp_path / "parent"),
+        "--change", str(tmp_path / "change"), "--pr", "98", "--pairs", "1",
+        "--first-seed", "5", "--trace-seed", "7"]) == 0
+    runs = (tmp_path / "order.log").read_text().splitlines()
+    assert runs[4:] == ["parent w1 7 25 1", "change w1 7 25 1",
+                        "change w2 7 25 1", "parent w2 7 25 1"]
+    trace = json.loads((tmp_path / "BENCH_98.json").read_text())["trace"]
+    assert trace["command"].endswith("--seed 7 --seconds 25 --trace 1")
+    assert trace["workloads"]["w2"] == {
+        "first": "change",
+        "parent": {"sweep_s": 9.0, "frames_per_s": 107.0},
+        "change": {"sweep_s": 8.5, "frames_per_s": 157.0}}
+
+
+def fake_runs(parent, change):
+    """Pairs with the given sweep_s values, as summarise reads them."""
+    return [{side: {"metrics": {"sweep_s": {"value": v}}}
+             for side, v in (("parent", p), ("change", c))}
+            for p, c in zip(parent, change)]
+
+
+def test_within_bound_is_relative_to_the_parent_median():
+    lower = {"name": "sweep_s", "unit": "s", "better": "lower",
+             "bound": 0.2}
+    higher = dict(lower, better="higher")
+    # Parent median 10; the change's median is 12 (20% worse when lower
+    # is better) or 7.9 (21% worse when higher is better).
+    runs = fake_runs([9.0, 10.0, 11.0], [11.0, 12.0, 13.0])
+    assert bench_pairs.summarise(runs, [lower])["sweep_s"]["within_bound"]
+    runs = fake_runs([9.0, 10.0, 11.0], [11.0, 12.01, 13.0])
+    assert not bench_pairs.summarise(runs, [lower])["sweep_s"][
+        "within_bound"]
+    runs = fake_runs([9.0, 10.0, 11.0], [7.0, 7.9, 8.0])
+    assert not bench_pairs.summarise(runs, [higher])["sweep_s"][
+        "within_bound"]
+    del lower["bound"]
+    assert bench_pairs.summarise(runs, [lower])["sweep_s"][
+        "within_bound"] is None
+
+
+def test_claim_needs_nine_tenths_of_pairs_and_the_quartile_gap():
+    metric = [{"name": "sweep_s", "unit": "s", "better": "lower"}]
+    parent = [10.0 + 0.1 * i for i in range(10)]   # quartile distance 0.45
+
+    def claim(change):
+        return bench_pairs.summarise(fake_runs(parent, change), metric)[
+            "sweep_s"]["claim_holds"]
+
+    assert claim([p - 1.0 for p in parent])
+    # A tie counts for neither side: 9 wins of 10 still hold.
+    assert claim([p - 1.0 for p in parent[:9]] + [parent[9]])
+    assert not claim([p - 1.0 for p in parent[:8]] + parent[8:])
+    # Every pair won, by less than the parent's own spread.
+    assert not claim([p - 0.4 for p in parent])

@@ -209,6 +209,13 @@ class TestRunExperiment:
                 "experiment", "power", "avg_desired_power",
                 "avg_interference", "minil_baseline", "beamforming_power"]
 
+    def test_fig1_csv_does_not_depend_on_workers(self, tmp_path):
+        exp = preset("fig1")
+        exp.cfg = replace(exp.cfg, iterations=3)
+        paths = [run_experiment(exp, tmp_path / str(w), workers=w,
+                                timestamp=False) for w in (1, 2)]
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
     def test_csv_schema_and_determinism(self, tmp_path):
         path1 = run_experiment(tiny_experiment(), tmp_path / "a",
                                timestamp=False)
@@ -297,6 +304,20 @@ class TestMain:
         cfg = write(tmp_path, text)
         rc = main(["--config", str(cfg), "--out", str(tmp_path / "out")]
                   + args)
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text,message", [
+        ("snr_db = 0,0\nmodes = minil,minil\n", "snr_db grid repeats 0.0"),
+        ("modes = minil, MinIL\n", "modes grid repeats minil"),
+        ("epsilon = 0.1,0.05,0.1\n", "epsilon grid repeats 0.1"),
+        ("loading = 1,1\nmodes = svd\n", "loading grid repeats True"),
+    ])
+    def test_repeated_grid_value_fails_before_output(self, tmp_path, capsys,
+                                                      text, message):
+        cfg = write(tmp_path, text)
+        rc = main(["--config", str(cfg), "--out", str(tmp_path / "out")])
         assert rc == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
 from conftest import draw_inits
@@ -159,3 +161,139 @@ def test_unit_norms(rng):
     v = rng.standard_normal((50, 4)) + 1j * rng.standard_normal((50, 4))
     u = unit(v)
     assert np.allclose(np.linalg.norm(u, axis=1), 1.0, atol=1e-13)
+
+
+# The kernels against their unfused forms in oracles, byte for byte: a
+# changed -0.0 fails, as would a NaN where the other has a number.
+
+BATCHES = [(), (7,), (5, 3)]
+
+
+def assert_same_bytes(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+def solver_layout(a):
+    """`a` with the memory layout of the solver's covariances: an
+    (n, n, ...) array seen as (..., n, n)."""
+    axes = tuple(range(a.ndim))[::-1]
+    return np.ascontiguousarray(a.transpose(axes)).transpose(axes)
+
+
+ENTRY = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 3.0]),
+                  st.floats(-1e6, 1e6))
+
+
+@st.composite
+def hermitian(draw, n, batch=None):
+    """A stack of Hermitian n x n matrices from drawn entries: signed
+    zeros, repeated values and subnormals included."""
+    batch = draw(st.sampled_from(BATCHES)) if batch is None else batch
+    parts = draw(hnp.arrays(np.float64, batch + (n, n, 2), elements=ENTRY))
+    a = np.empty(batch + (n, n), complex)
+    a.real, a.imag = parts[..., 0], parts[..., 1]
+    upper = np.triu(np.ones((n, n), bool), 1)
+    a = np.where(upper, a, a.conj().swapaxes(-1, -2))
+    idx = np.arange(n)
+    a[..., idx, idx] = a[..., idx, idx].real
+    return a
+
+
+@given(a=st.integers(2, 3).flatmap(hermitian), psd=st.booleans(),
+       real=st.booleans(), layout=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_min_eigvec_bytes_match_unfused_oracle(a, psd, real, layout):
+    if psd:
+        a = a @ a.conj().swapaxes(-1, -2)
+    if real:
+        a = np.ascontiguousarray(a.real)
+    if layout:
+        a = solver_layout(a)
+    assert_same_bytes(min_eigvec(a), oracles.closed_min_eigvec(a))
+
+
+@given(a=st.integers(2, 3).flatmap(hermitian), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_solve_posdef_bytes_match_unfused_oracle(a, data):
+    n = a.shape[-1]
+    b = np.eye(n) + a @ a.conj().swapaxes(-1, -2)
+    parts = data.draw(hnp.arrays(np.float64, a.shape[:-2] + (n, 2),
+                                 elements=ENTRY))
+    x = parts[..., 0] + 1j * parts[..., 1]
+    assert_same_bytes(solve_posdef(b, x), oracles.closed_solve_posdef(b, x))
+    b = solver_layout(b)
+    assert_same_bytes(solve_posdef(b, x), oracles.closed_solve_posdef(b, x))
+
+
+@given(v=hnp.arrays(st.sampled_from([np.complex128, np.float64, np.int64]),
+                    hnp.array_shapes(min_dims=1, max_dims=3, max_side=5),
+                    elements=st.integers(-1000, 1000) | ENTRY.filter(
+                        lambda x: x == int(x))))
+@settings(max_examples=300, deadline=None)
+def test_unit_bytes_match_norm_oracle(v):
+    assert_same_bytes(unit(v), oracles.unit(v))
+
+
+def special_matrices(n):
+    """Zero, identity, diagonal, rank-one and repeated-smallest-eigenvalue
+    matrices, and I + Q with Q rank one and rank two."""
+    rng = np.random.default_rng(99)
+    t = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+    rank1 = t[0, :, None] * t[0].conj()
+    rank2 = rank1 + t[1, :, None] * t[1].conj()
+    basis, _ = np.linalg.qr(rank2 + np.eye(n))
+    repeated = (basis * np.r_[1.0, 1.0, 4.0][-n:]) @ basis.conj().T
+    mats = [np.zeros((n, n)), np.eye(n), 7.5 * np.eye(n),
+            np.diag(np.arange(n, 0, -1.0)), np.diag(np.r_[2.0, 5.0, 2.0][:n]),
+            rank1, 10.0 * rank1, repeated, np.diag([-0.0] * n)]
+    mats += [np.eye(n) + power * q for power in 10.0 ** np.arange(-3, 19, 3)
+             for q in (rank1, rank2)]
+    return np.array(mats, dtype=complex)
+
+
+@pytest.mark.parametrize("batch", BATCHES)
+@pytest.mark.parametrize("n", [2, 3])
+def test_kernels_match_unfused_oracles_on_special_matrices(n, batch):
+    for a in special_matrices(n):
+        a = np.broadcast_to(a, batch + (n, n)).copy()
+        x = np.broadcast_to(np.arange(1.0, n + 1) - 1j, batch + (n,))
+        assert_same_bytes(min_eigvec(a), oracles.closed_min_eigvec(a))
+        assert_same_bytes(solve_posdef(a + np.eye(n), x),
+                          oracles.closed_solve_posdef(a + np.eye(n), x))
+        assert_same_bytes(min_eigvec(a - np.eye(n)),
+                          oracles.closed_min_eigvec(a - np.eye(n)))
+
+
+@pytest.mark.parametrize("power", 10.0 ** np.arange(-3, 19, 3))
+@pytest.mark.parametrize("n", [2, 3])
+def test_kernels_match_unfused_oracles_on_interference_covariances(
+        rng, n, power):
+    # The solvers' operands: PSD covariances of rank K - 1 = 1 or 2 at
+    # powers from -30 to 180 dB, in the solvers' memory layout.
+    t = rng.standard_normal((5, 3, n, 2)) + 1j * rng.standard_normal(
+        (5, 3, n, 2))
+    x = rng.standard_normal((5, 3, n)) + 1j * rng.standard_normal((5, 3, n))
+    for q in (t[..., :1], t):
+        q = solver_layout(power * (q @ q.conj().swapaxes(-1, -2)))
+        b = np.eye(n) + q
+        assert_same_bytes(min_eigvec(q), oracles.closed_min_eigvec(q))
+        assert_same_bytes(solve_posdef(b, x), oracles.closed_solve_posdef(b, x))
+        assert_same_bytes(unit(solve_posdef(b, x)),
+                          oracles.unit(oracles.closed_solve_posdef(b, x)))
+
+
+def test_min_eigvec_3x3_overflow_gives_the_oracles_nans():
+    # Entries near 1e150 overflow the cubic's terms.  The vectors are then
+    # NaN where the oracle's are, and equal elsewhere; only the sign bit of
+    # a NaN may differ, set by which numpy loop multiplied it.
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((400, 3, 3)) + 1j * rng.standard_normal(
+        (400, 3, 3))
+    a = a + a.conj().swapaxes(-1, -2)
+    a[::2, 1, 1] = -1e150
+    with np.errstate(all="ignore"):
+        got, want = min_eigvec(a), oracles.closed_min_eigvec(a)
+    assert np.isnan(got).any()
+    np.testing.assert_array_equal(got, want)

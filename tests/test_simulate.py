@@ -305,6 +305,25 @@ class TestFig1Stats:
         with pytest.raises(ValueError, match="frames"):
             fig1_stats(cfg, [1.0], frames=frames)
 
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_rows_do_not_depend_on_workers(self, pools, workers):
+        # Each mean is taken once over the per-frame values in frame order,
+        # so the rows equal the serial ones exactly, not to within rounding.
+        cfg = NetworkConfig(k_pairs=3, nt=3, nr=2, iterations=10, seed=21)
+        serial = fig1_stats(cfg, [1.0, 100.0], frames=301)
+        assert pools == []
+        assert fig1_stats(cfg, [1.0, 100.0], frames=301,
+                          workers=workers) == serial
+        assert len(pools) == 1
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [0, -1, 2.5])
+    def test_bad_worker_count_rejected(self, pools, workers):
+        cfg = NetworkConfig(k_pairs=3, nt=3, nr=2, seed=21)
+        with pytest.raises(ValueError, match="workers"):
+            fig1_stats(cfg, [1.0], frames=10, workers=workers)
+        assert pools == []
+
     def test_rows_and_brackets(self):
         cfg = NetworkConfig(k_pairs=3, nt=3, nr=2, seed=21)
         rows = fig1_stats(cfg, [1.0, 100.0], frames=800)
@@ -347,6 +366,21 @@ class TestSweep:
     def test_empty_grid_rejected(self, cfg):
         with pytest.raises(ValueError):
             sweep(cfg, [], [0.0], ["minil"], [False])
+
+    @pytest.mark.parametrize("grid,message", [
+        (([0.0, 5.0, 0], [0.0], ["minil"], [False]), "snr_db grid repeats 0"),
+        (([0.0], [0.1, 0.1], ["minil"], [False]), "epsilon grid repeats 0.1"),
+        (([0.0], [0.0], ["svd", "minil", "svd"], [False]),
+         "modes grid repeats svd"),
+        (([0.0], [0.0], ["minil"], [True, 1]), "loading grid repeats 1"),
+    ])
+    def test_repeated_grid_value_rejected(self, cfg, pools, no_frames, grid,
+                                          message):
+        # A repeated value used to run the same cells again, each repeat
+        # a new row at the full cost.
+        with pytest.raises(ValueError, match=message):
+            sweep(cfg, *grid, workers=2)
+        assert pools == []
 
     def test_one_pool_per_sweep(self, pools):
         # Two epsilons, adaptive included, two 400-frame chunks per cell.

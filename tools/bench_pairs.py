@@ -12,8 +12,15 @@ checkout; the side that goes first flips from pair to pair.  The summary
 gives, per workload and metric, the median and inclusive quartiles on
 each side, the number of pairs the change wins and the ratio of the
 medians, along with the failed and attempted cells and the SHA-256 of
-each side's src/iasim.  It is written to BENCH_<pr>.json in the working
-directory.
+each side's src/iasim.  Two verdicts come with each metric:
+`within_bound`, the change's median is no worse than the parent's by
+more than the metric's `bound` (a fraction of the parent's median), and
+`claim_holds`, the change wins at least nine tenths of the pairs (ties
+count for neither) and its median is better than the parent's by more
+than the parent's quartile distance.  With --trace-seed, every workload
+then runs once more on each side with --trace 1 at that seed, for the
+per-layer metrics.  The record is written to BENCH_<pr>.json in the
+working directory.
 """
 
 import argparse
@@ -43,10 +50,10 @@ def source_sha256(checkout: Path) -> str:
 
 
 def run_once(checkout: Path, command: list, workload: str, seed: int,
-             seconds: int) -> dict:
+             seconds: int, trace: int = 0) -> dict:
     """One benchmark run; returns the JSON object on its last output line."""
     argv = command + ["--workload", workload, "--seed", str(seed),
-                      "--seconds", str(seconds), "--trace", "0"]
+                      "--seconds", str(seconds), "--trace", str(trace)]
     out = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     if out.returncode != 0:
         raise RuntimeError(f"{' '.join(argv)} in {checkout} exited "
@@ -70,14 +77,21 @@ def summarise(runs: list, metrics: list) -> dict:
                 for s in ("parent", "change")}
         wins = sum((c < p) if lower else (c > p)
                    for p, c in zip(side["parent"], side["change"]))
+        parent, change = summary(side["parent"]), summary(side["change"])
+        # How much better the change's median is, in the metric's units.
+        gain = (parent["median"] - change["median"]) * (1 if lower else -1)
         out[name] = {
             "unit": m["unit"], "better": m["better"],
-            "parent": summary(side["parent"]),
-            "change": summary(side["change"]),
+            "parent": parent,
+            "change": change,
             "change_wins": wins,
             "median_ratio_change_over_parent": round(
                 statistics.median(side["change"])
                 / statistics.median(side["parent"]), 4),
+            "within_bound": (None if "bound" not in m else
+                             -gain <= m["bound"] * abs(parent["median"])),
+            "claim_holds": (wins >= 0.9 * len(runs)
+                            and gain > parent["q3"] - parent["q1"]),
         }
     return out
 
@@ -93,6 +107,9 @@ def main(argv=None) -> int:
     parser.add_argument("--change-note", default="",
                         help="what the change does, for the record")
     parser.add_argument("--parent-commit", default=None)
+    parser.add_argument("--trace-seed", type=int, default=None,
+                        help="also run every workload once per side with "
+                             "--trace 1 at this seed")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
@@ -116,6 +133,17 @@ def main(argv=None) -> int:
                 f"{s} {pair[s]['metrics'][m['name']]['value']:.4g}"
                 for m in bench["end_to_end"][:2] for s in order),
                 file=sys.stderr, flush=True)
+
+    traced = {}
+    if args.trace_seed is not None:
+        for i, w in enumerate(workloads):
+            order = ("parent", "change") if i % 2 == 0 else ("change",
+                                                             "parent")
+            traced[w] = {"first": order[0], **{
+                side: {m: v["value"] for m, v in run_once(
+                    sides[side], bench["command"], w, args.trace_seed,
+                    seconds, trace=1)["metrics"].items()}
+                for side in order}}
 
     record = {
         "change": args.change_note,
@@ -151,6 +179,16 @@ def main(argv=None) -> int:
             } for w, pairs in runs.items()
         },
     }
+    if traced:
+        record["trace"] = {
+            "command": " ".join(bench["command"]) + " --workload <name> "
+                       f"--seed {args.trace_seed} --seconds {seconds} "
+                       "--trace 1",
+            "note": "one traced run per workload and side, for the "
+                    "per-layer metrics; the side that runs first flips "
+                    "from workload to workload",
+            "workloads": traced,
+        }
     path = Path(f"BENCH_{args.pr}.json")
     path.write_text(json.dumps(record, indent=1) + "\n")
     print(path)
