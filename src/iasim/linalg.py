@@ -16,15 +16,9 @@ _DEGENERATE_3X3 = 1e-6
 
 
 def unit(v: np.ndarray) -> np.ndarray:
-    """Normalize vectors along the last axis (an integer v as float).
-
-    The norm is np.linalg.norm's vector 2-norm expression, called without
-    its dispatch.
-    """
-    v = np.asarray(v)
-    w = v if issubclass(v.dtype.type, np.inexact) else v.astype(float)
-    n = np.sqrt(np.add.reduce((w.conj() * w).real, axis=-1, keepdims=True))
-    return v / np.maximum(n, _TINY, out=n)
+    """Normalize vectors along the last axis."""
+    n = np.linalg.norm(v, axis=-1, keepdims=True)
+    return v / np.maximum(n, _TINY)
 
 
 def _unit_phase(cols) -> np.ndarray:
@@ -38,6 +32,7 @@ def _unit_phase(cols) -> np.ndarray:
     """
     s = [(c.conj() * c).real for c in cols]
     n = np.maximum(np.sqrt(sum(s[1:], s[0])), _TINY)
+    del s
     u = [c / n for c in cols]
     m = [np.abs(x) for x in u]
     if len(u) == 2:
@@ -46,6 +41,7 @@ def _unit_phase(cols) -> np.ndarray:
         lead = np.where(((m[0] >= m[1]) & (m[0] >= m[2])) | (m[0] != m[0]),
                         u[0], np.where((m[1] >= m[2]) | (m[1] != m[1]),
                                        u[1], u[2]))
+    del m
     phase = np.conjugate(lead / np.maximum(np.abs(lead), _TINY))
     out = np.empty(np.shape(phase) + (len(u),), phase.dtype)
     for j, x in enumerate(u):
@@ -64,8 +60,9 @@ def _fix_phase(v: np.ndarray) -> np.ndarray:
     return v * phase.conj()
 
 
-def _min_eigvec_2x2(a: np.ndarray) -> np.ndarray:
-    """Unit eigenvector of the smallest eigenvalue, closed form.
+def _min_eigvec_2x2(a: np.ndarray) -> tuple:
+    """Eigenvector of the smallest eigenvalue, closed form, not
+    normalized, as its two component arrays.
 
     `a` is stacked Hermitian (..., 2, 2).  Of the two null-vector
     candidates of A - lam I, (b, lam - p) and (lam - q, b*), the larger
@@ -91,7 +88,7 @@ def _min_eigvec_2x2(a: np.ndarray) -> np.ndarray:
         low = p <= q
         v0 = np.where(bad, low, v0)
         v1 = np.where(bad, ~low, v1)
-    return _unit_phase((v0, v1))
+    return v0, v1
 
 
 def _abs2(z):
@@ -133,8 +130,9 @@ def _null_vector_3x3(d, a01, a02, a12, o, prods, lam):
     return v, np.maximum(n01, np.maximum(n02, n12))
 
 
-def _min_eigvec_3x3(a: np.ndarray) -> np.ndarray:
-    """Unit eigenvector of the smallest eigenvalue, closed form.
+def _min_eigvec_3x3(a: np.ndarray) -> tuple:
+    """Eigenvector of the smallest eigenvalue, closed form, not
+    normalized, as its three component arrays.
 
     `a` is stacked Hermitian (..., 3, 3).  The eigenvalue is the
     trigonometric root of the characteristic cubic of the trace-shifted
@@ -185,7 +183,7 @@ def _min_eigvec_3x3(a: np.ndarray) -> np.ndarray:
         vec = np.linalg.eigh(a[bad])[1]
         for j, vj in enumerate(v):
             vj[bad] = vec[..., j, 0]
-    return _unit_phase(v)
+    return v
 
 
 def min_eigvec(a: np.ndarray) -> np.ndarray:
@@ -199,18 +197,11 @@ def min_eigvec(a: np.ndarray) -> np.ndarray:
     if n == 1:
         return np.ones(a.shape[:-1], dtype=complex)
     if n == 2:
-        return _min_eigvec_2x2(a)
+        return _unit_phase(_min_eigvec_2x2(a))
     if n == 3:
-        return _min_eigvec_3x3(a)
+        return _unit_phase(_min_eigvec_3x3(a))
     _, vec = np.linalg.eigh(a)
     return _fix_phase(vec[..., :, 0])
-
-
-def _quotient_vectors(num, den, n: int) -> np.ndarray:
-    """An empty (..., n) array for vectors whose entries are quotients
-    like num / den."""
-    shape = np.broadcast_shapes(np.shape(num), np.shape(den))
-    return np.empty(shape + (n,), np.result_type(num, den))
 
 
 def _solve_posdef_3x3(b: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -231,14 +222,10 @@ def _solve_posdef_3x3(b: np.ndarray, x: np.ndarray) -> np.ndarray:
     z0 = x[..., 0]
     z1 = x[..., 1] - l10 * z0
     z2 = x[..., 2] - l20 * z0 - l21 * z1
-    # Each entry is read back through [()]: for a single system that is a
-    # numpy scalar, whose products, like those of z0..z2, skip the FMA of
-    # the array loops.
-    y = _quotient_vectors(z2, d2, 3)
-    y2 = np.divide(z2, d2, out=y[..., 2])[()]
-    y1 = np.subtract(z1 / d1, l21.conj() * y2, out=y[..., 1])[()]
-    np.subtract(z0 / d0 - l10.conj() * y1, l20.conj() * y2, out=y[..., 0])
-    return y
+    y2 = z2 / d2
+    y1 = z1 / d1 - l21.conj() * y2
+    y0 = z0 / d0 - l10.conj() * y1 - l20.conj() * y2
+    return np.stack([y0, y1, y2], axis=-1)
 
 
 def solve_posdef(b: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -256,12 +243,9 @@ def solve_posdef(b: np.ndarray, x: np.ndarray) -> np.ndarray:
         b11 = b[..., 1, 1]
         det = np.maximum(b00.real * b11.real - np.abs(b01) ** 2,
                          b00.real + b11.real - 1)
-        n0 = b11 * x[..., 0] - b01 * x[..., 1]
-        y = _quotient_vectors(n0, det, 2)
-        np.divide(n0, det, out=y[..., 0])
-        np.divide(b00 * x[..., 1] - b01.conj() * x[..., 0], det,
-                  out=y[..., 1])
-        return y
+        y0 = (b11 * x[..., 0] - b01 * x[..., 1]) / det
+        y1 = (b00 * x[..., 1] - b01.conj() * x[..., 0]) / det
+        return np.stack([y0, y1], axis=-1)
     if b.shape[-1] == 3:
         return _solve_posdef_3x3(b, x)
     return np.linalg.solve(b, x[..., None])[..., 0]

@@ -5,7 +5,7 @@ einsum, or LAPACK, or scipy, or unfused) form of a function in the
 package; the tests compare the two.  The package matches them exactly,
 except the solver loop, which matches `alternate` to within rounding, the
 closed-form 3x3 kernels, which match the LAPACK `min_eigvec` and
-`solve_posdef` to within rounding (and their unfused forms byte for
+`solve_posdef` to within rounding (and the unfused `min_eigvec` byte for
 byte), the Cephes port behind `modem.qfunc`, which matches `qfunc` to
 within rounding, the Max-SINR prediction, which sums in another order,
 and the mode check, which rejects the same cases with other messages.
@@ -19,6 +19,7 @@ from scipy.special import erfc
 
 from iasim import modem
 from iasim.bitload import check_rate_budget
+from iasim.linalg import _fix_phase, unit
 from iasim.modem import MAX_BITS, ber_awgn_instant
 from iasim.simulate import MODE_ADAPTIVE, MODE_SVD, RUN_MODES
 from iasim.solvers import _offdiag_power, cross_gains
@@ -62,33 +63,16 @@ def draw_inits(cfg, rngs, n: int) -> np.ndarray:
 def min_eigvec(a) -> np.ndarray:
     """LAPACK's eigenvector of each matrix's smallest eigenvalue, with the
     package's phase rule."""
-    return fix_phase(np.linalg.eigh(a)[1][..., :, 0])
+    return _fix_phase(np.linalg.eigh(a)[1][..., :, 0])
 
 
-# The closed-form kernels as the package had them before their numpy
-# passes were fused: each stacks its candidates and normalises, then
-# fixes the phase, as separate steps.  The package's kernels match these
-# byte for byte.
+# The closed-form min_eigvec kernels as the package had them before their
+# numpy passes were fused: each stacks its candidates, then `unit` and
+# `_fix_phase` normalise and rotate them as separate steps.  The
+# package's kernels match these byte for byte.
 
 _TINY = 1e-300
 _DEGENERATE_3X3 = 1e-6
-
-
-def unit(v: np.ndarray) -> np.ndarray:
-    """Normalize vectors along the last axis."""
-    n = np.linalg.norm(v, axis=-1, keepdims=True)
-    return v / np.maximum(n, _TINY)
-
-
-def fix_phase(v: np.ndarray) -> np.ndarray:
-    """Rotate each vector so its largest-magnitude entry is real positive.
-
-    Keeps eigenvector output deterministic across BLAS variants.
-    """
-    idx = np.argmax(np.abs(v), axis=-1, keepdims=True)
-    lead = np.take_along_axis(v, idx, axis=-1)
-    phase = lead / np.maximum(np.abs(lead), _TINY)
-    return v * phase.conj()
 
 
 def min_eigvec_2x2(a: np.ndarray) -> np.ndarray:
@@ -203,49 +187,8 @@ def closed_min_eigvec(a) -> np.ndarray:
     above."""
     a = np.asarray(a)
     if a.shape[-1] == 2:
-        return fix_phase(min_eigvec_2x2(a))
-    return fix_phase(unit(min_eigvec_3x3(a)))
-
-
-def solve_posdef_3x3(b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Unrolled LDL^H solve of stacked 3x3 b = I + Q, Q Hermitian PSD.
-
-    Each pivot is a Schur complement of b, and (I + Q)'s Schur complements
-    are at least I, so every pivot is clamped at 1 where cancellation would
-    take it below.
-    """
-    b01, b02, b12 = b[..., 0, 1], b[..., 0, 2], b[..., 1, 2]
-    d0 = np.maximum(b[..., 0, 0].real, 1.0)
-    l10 = b01.conj() / d0
-    l20 = b02.conj() / d0
-    d1 = np.maximum(b[..., 1, 1].real - abs2(b01) / d0, 1.0)
-    l21 = (b12.conj() - l20 * b01) / d1
-    d2 = np.maximum(b[..., 2, 2].real - abs2(b02) / d0 - d1 * abs2(l21),
-                    1.0)
-    z0 = x[..., 0]
-    z1 = x[..., 1] - l10 * z0
-    z2 = x[..., 2] - l20 * z0 - l21 * z1
-    y2 = z2 / d2
-    y1 = z1 / d1 - l21.conj() * y2
-    y0 = z0 / d0 - l10.conj() * y1 - l20.conj() * y2
-    return np.stack([y0, y1, y2], axis=-1)
-
-
-def closed_solve_posdef(b, x) -> np.ndarray:
-    """`linalg.solve_posdef` on 2x2 or 3x3 matrices, each closed form
-    ending in np.stack."""
-    b = np.asarray(b)
-    x = np.asarray(x)
-    if b.shape[-1] == 3:
-        return solve_posdef_3x3(b, x)
-    b00 = b[..., 0, 0]
-    b01 = b[..., 0, 1]
-    b11 = b[..., 1, 1]
-    det = np.maximum(b00.real * b11.real - np.abs(b01) ** 2,
-                     b00.real + b11.real - 1)
-    y0 = (b11 * x[..., 0] - b01 * x[..., 1]) / det
-    y1 = (b00 * x[..., 1] - b01.conj() * x[..., 0]) / det
-    return np.stack([y0, y1], axis=-1)
+        return _fix_phase(min_eigvec_2x2(a))
+    return _fix_phase(unit(min_eigvec_3x3(a)))
 
 
 def solve_posdef(b, x) -> np.ndarray:

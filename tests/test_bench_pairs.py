@@ -59,9 +59,10 @@ def test_pairs_alternate_and_summarise(tmp_path, monkeypatch):
         "--first-seed", "11", "--change-note", "faster"]) == 0
 
     # The side that goes first flips each pair; every run gets the seed,
-    # BENCHMARK.json's run_seconds and an untraced run.
+    # BENCHMARK.json's run_seconds and an untraced run.  The traced runs
+    # come after the pairs.
     runs = (tmp_path / "order.log").read_text().splitlines()
-    assert runs == [f"{side} {w} {seed} 25 0"
+    assert runs[:12] == [f"{side} {w} {seed} 25 0"
                     for seed, order in ((11, ("parent", "change")),
                                         (12, ("change", "parent")),
                                         (13, ("parent", "change")))
@@ -94,7 +95,6 @@ def test_pairs_alternate_and_summarise(tmp_path, monkeypatch):
     assert sweep["within_bound"] and fps["within_bound"]
     assert not sweep["claim_holds"]
     assert fps["claim_holds"]
-    assert "trace" not in record
 
 
 def test_traced_run_per_workload_and_side(tmp_path, monkeypatch):
@@ -107,10 +107,12 @@ def test_traced_run_per_workload_and_side(tmp_path, monkeypatch):
         (root / "BENCHMARK.json").write_text(json.dumps(BENCH))
     assert bench_pairs.main([
         "--parent", str(tmp_path / "parent"),
-        "--change", str(tmp_path / "change"), "--pr", "98", "--pairs", "1",
-        "--first-seed", "5", "--trace-seed", "7"]) == 0
+        "--change", str(tmp_path / "change"), "--pr", "98", "--pairs", "2",
+        "--first-seed", "5"]) == 0
+    # After the pairs at seeds 5 and 6, one traced run per workload and
+    # side at the next seed, 7.
     runs = (tmp_path / "order.log").read_text().splitlines()
-    assert runs[4:] == ["parent w1 7 25 1", "change w1 7 25 1",
+    assert runs[8:] == ["parent w1 7 25 1", "change w1 7 25 1",
                         "change w2 7 25 1", "parent w2 7 25 1"]
     trace = json.loads((tmp_path / "BENCH_98.json").read_text())["trace"]
     assert trace["command"].endswith("--seed 7 --seconds 25 --trace 1")

@@ -17,8 +17,8 @@ each side's src/iasim.  Two verdicts come with each metric:
 more than the metric's `bound` (a fraction of the parent's median), and
 `claim_holds`, the change wins at least nine tenths of the pairs (ties
 count for neither) and its median is better than the parent's by more
-than the parent's quartile distance.  With --trace-seed, every workload
-then runs once more on each side with --trace 1 at that seed, for the
+than the parent's quartile distance.  Every workload then runs once more
+on each side with --trace 1, at seed first_seed + pairs, for the
 per-layer metrics.  The record is written to BENCH_<pr>.json in the
 working directory.
 """
@@ -107,9 +107,6 @@ def main(argv=None) -> int:
     parser.add_argument("--change-note", default="",
                         help="what the change does, for the record")
     parser.add_argument("--parent-commit", default=None)
-    parser.add_argument("--trace-seed", type=int, default=None,
-                        help="also run every workload once per side with "
-                             "--trace 1 at this seed")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
@@ -118,6 +115,7 @@ def main(argv=None) -> int:
     seconds = bench["run_seconds"]
     workloads = [w["name"] for w in bench["workloads"]]
     seeds = list(range(args.first_seed, args.first_seed + args.pairs))
+    trace_seed = args.first_seed + args.pairs
     sides = {"parent": args.parent, "change": args.change}
 
     runs = {w: [] for w in workloads}
@@ -135,15 +133,13 @@ def main(argv=None) -> int:
                 file=sys.stderr, flush=True)
 
     traced = {}
-    if args.trace_seed is not None:
-        for i, w in enumerate(workloads):
-            order = ("parent", "change") if i % 2 == 0 else ("change",
-                                                             "parent")
-            traced[w] = {"first": order[0], **{
-                side: {m: v["value"] for m, v in run_once(
-                    sides[side], bench["command"], w, args.trace_seed,
-                    seconds, trace=1)["metrics"].items()}
-                for side in order}}
+    for i, w in enumerate(workloads):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        traced[w] = {"first": order[0], **{
+            side: {m: v["value"] for m, v in run_once(
+                sides[side], bench["command"], w, trace_seed, seconds,
+                trace=1)["metrics"].items()}
+            for side in order}}
 
     record = {
         "change": args.change_note,
@@ -178,17 +174,15 @@ def main(argv=None) -> int:
                          for r in pairs],
             } for w, pairs in runs.items()
         },
-    }
-    if traced:
-        record["trace"] = {
+        "trace": {
             "command": " ".join(bench["command"]) + " --workload <name> "
-                       f"--seed {args.trace_seed} --seconds {seconds} "
-                       "--trace 1",
+                       f"--seed {trace_seed} --seconds {seconds} --trace 1",
             "note": "one traced run per workload and side, for the "
                     "per-layer metrics; the side that runs first flips "
                     "from workload to workload",
             "workloads": traced,
-        }
+        },
+    }
     path = Path(f"BENCH_{args.pr}.json")
     path.write_text(json.dumps(record, indent=1) + "\n")
     print(path)
