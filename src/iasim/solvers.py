@@ -137,8 +137,7 @@ def _alternate(h, p, iterations, v, update, trace=None):
         wt = w[:, None] * tl
         tc = tl.conj()
         q = sum(wt[l, :, None] * tc[l] for l in range(k))
-        return update(q.transpose(3, 2, 0, 1),
-                      t.diagonal(axis1=1, axis2=2).swapaxes(1, 2))
+        return update(q.transpose(3, 2, 0, 1), t[:, diag, diag])
 
     def record(u, v):
         if trace is not None:
