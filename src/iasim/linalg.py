@@ -21,43 +21,41 @@ def unit(v: np.ndarray) -> np.ndarray:
     return v / np.maximum(n, _TINY)
 
 
-def _unit_phase(cols) -> np.ndarray:
-    """`unit`, then `_fix_phase`, for vectors given as their 2 or 3
-    component arrays; returns the vectors stacked on a last axis.
+def _norm(cols):
+    """max(||v||, _TINY) of vectors given as their component arrays, as
+    `unit` forms it: numpy sums a short axis left to right, and a squared
+    magnitude is never -0, so no leading 0.0 is needed.  np.multiply,
+    because for a single vector the components may be numpy scalars, whose
+    complex `*` skips the FMA of numpy's array loops."""
+    s = [np.multiply(c.conj(), c).real for c in cols]
+    return np.maximum(np.sqrt(sum(s[1:], s[0])), _TINY)
 
-    This is their arithmetic component by component: numpy sums a short
-    axis left to right (a squared magnitude is never -0, so no leading 0.0
-    is needed), and the lead entry is argmax's, the first largest
-    magnitude or the first NaN.
+
+def _unit_phase(cols) -> np.ndarray:
+    """`unit`, then a phase fix, for vectors given as their component
+    arrays; returns the vectors stacked on a last axis.
+
+    The phase fix rotates each vector so that its lead entry is real
+    positive, which keeps eigenvector output deterministic across BLAS
+    variants.  The lead entry is argmax's: the first largest magnitude,
+    or the first NaN.
     """
-    s = [(c.conj() * c).real for c in cols]
-    n = np.maximum(np.sqrt(sum(s[1:], s[0])), _TINY)
-    del s
+    n = _norm(cols)
     u = [c / n for c in cols]
+    del n
     m = [np.abs(x) for x in u]
-    if len(u) == 2:
-        lead = np.where((m[0] >= m[1]) | (m[0] != m[0]), u[0], u[1])
-    else:
-        lead = np.where(((m[0] >= m[1]) & (m[0] >= m[2])) | (m[0] != m[0]),
-                        u[0], np.where((m[1] >= m[2]) | (m[1] != m[1]),
-                                       u[1], u[2]))
+    lead = u[-1]
+    for j in range(len(u) - 2, -1, -1):
+        top = m[j] >= m[j + 1]
+        for later in m[j + 2:]:
+            top = top & (m[j] >= later)
+        lead = np.where(top | (m[j] != m[j]), u[j], lead)
     del m
     phase = np.conjugate(lead / np.maximum(np.abs(lead), _TINY))
     out = np.empty(np.shape(phase) + (len(u),), phase.dtype)
     for j, x in enumerate(u):
         np.multiply(x, phase, out=out[..., j])
     return out
-
-
-def _fix_phase(v: np.ndarray) -> np.ndarray:
-    """Rotate each vector so its largest-magnitude entry is real positive.
-
-    Keeps eigenvector output deterministic across BLAS variants.
-    """
-    idx = np.argmax(np.abs(v), axis=-1, keepdims=True)
-    lead = np.take_along_axis(v, idx, axis=-1)
-    phase = lead / np.maximum(np.abs(lead), _TINY)
-    return v * phase.conj()
 
 
 def _min_eigvec_2x2(a: np.ndarray) -> tuple:
@@ -201,51 +199,73 @@ def min_eigvec(a: np.ndarray) -> np.ndarray:
     if n == 3:
         return _unit_phase(_min_eigvec_3x3(a))
     _, vec = np.linalg.eigh(a)
-    return _fix_phase(vec[..., :, 0])
+    return _unit_phase([vec[..., j, 0] for j in range(n)])
 
 
-def _solve_posdef_3x3(b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Unrolled LDL^H solve of stacked 3x3 b = I + Q, Q Hermitian PSD.
+# The Max-SINR update solves (I + Q) y = x from Q's entries: b_ii = 1 + q_ii
+# and b_ij = q_ij + 0.0 are I + Q's entries, the + 0.0 its signs of zero.
+# np.multiply stands where the stacked form (I + Q formed, then solved)
+# multiplied by an entry of I + Q or of x: for a single matrix those were
+# 0-d arrays, whose product runs numpy's array loop with its FMA, while the
+# entries here may be numpy scalars, whose `*` skips it.
 
-    Each pivot is a Schur complement of b, and (I + Q)'s Schur complements
-    are at least I, so every pivot is clamped at 1 where cancellation would
-    take it below.
+
+def _solve_2x2(q, x) -> tuple:
+    """Components of the solution of (I + Q) y = x, Q stacked 2x2, with
+    det(I + Q) clamped to its bound tr(I + Q) - 1."""
+    b00 = 1 + q[..., 0, 0]
+    b11 = 1 + q[..., 1, 1]
+    b01 = q[..., 0, 1] + 0.0
+    det = np.maximum(b00.real * b11.real - np.abs(b01) ** 2,
+                     b00.real + b11.real - 1)
+    x0, x1 = x[..., 0], x[..., 1]
+    return ((np.multiply(b11, x0) - np.multiply(b01, x1)) / det,
+            (np.multiply(b00, x1) - np.multiply(b01.conj(), x0)) / det)
+
+
+def _solve_3x3(q, x) -> tuple:
+    """Components of the solution of (I + Q) y = x, Q stacked 3x3, by an
+    unrolled LDL^H.
+
+    Each pivot is a Schur complement of I + Q, and those are at least I,
+    so every pivot is clamped at 1 where cancellation would take it below.
     """
-    b01, b02, b12 = b[..., 0, 1], b[..., 0, 2], b[..., 1, 2]
-    d0 = np.maximum(b[..., 0, 0].real, 1.0)
+    b01, b02, b12 = (q[..., i, j] + 0.0 for i, j in ((0, 1), (0, 2), (1, 2)))
+    d0 = np.maximum(1.0 + q[..., 0, 0].real, 1.0)
     l10 = b01.conj() / d0
     l20 = b02.conj() / d0
-    d1 = np.maximum(b[..., 1, 1].real - _abs2(b01) / d0, 1.0)
-    l21 = (b12.conj() - l20 * b01) / d1
-    d2 = np.maximum(b[..., 2, 2].real - _abs2(b02) / d0 - d1 * _abs2(l21),
-                    1.0)
+    d1 = np.maximum(1.0 + q[..., 1, 1].real - _abs2(q[..., 0, 1]) / d0, 1.0)
+    l21 = (b12.conj() - np.multiply(l20, b01)) / d1
+    d2 = np.maximum(1.0 + q[..., 2, 2].real - _abs2(q[..., 0, 2]) / d0
+                    - d1 * _abs2(l21), 1.0)
     z0 = x[..., 0]
-    z1 = x[..., 1] - l10 * z0
-    z2 = x[..., 2] - l20 * z0 - l21 * z1
+    z1 = x[..., 1] - np.multiply(l10, z0)
+    z2 = x[..., 2] - np.multiply(l20, z0) - l21 * z1
     y2 = z2 / d2
     y1 = z1 / d1 - l21.conj() * y2
     y0 = z0 / d0 - l10.conj() * y1 - l20.conj() * y2
-    return np.stack([y0, y1, y2], axis=-1)
+    return y0, y1, y2
 
 
-def solve_posdef(b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Solve b y = x for stacked positive-definite b and stacked vectors x.
+def solve_posdef(q: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Unit solution of (I + Q) y = x for stacked Hermitian PSD Q and
+    stacked vectors x: the Max-SINR node update.
 
-    The 2x2 and 3x3 closed forms hold for b = I + Q, Q Hermitian PSD: the
-    2x2 form clamps det b to its bound tr b - 1, the 3x3 form its LDL^H
-    pivots to 1, bounds that cancellation can cross at large Q.
+    The 2x2 and 3x3 cases solve in closed form from Q's entries, without
+    forming I + Q, and normalise component by component into one output
+    with `unit`'s arithmetic, so their bytes are those of unit(y) for the
+    stacked solution y.  The 2x2 form clamps det(I + Q) to its bound
+    tr(I + Q) - 1, the 3x3 form its LDL^H pivots to 1, bounds that
+    cancellation can cross at large Q.  Other sizes go to LAPACK.
     """
-    b = np.asarray(b)
+    q = np.asarray(q)
     x = np.asarray(x)
-    if b.shape[-1] == 2:
-        b00 = b[..., 0, 0]
-        b01 = b[..., 0, 1]
-        b11 = b[..., 1, 1]
-        det = np.maximum(b00.real * b11.real - np.abs(b01) ** 2,
-                         b00.real + b11.real - 1)
-        y0 = (b11 * x[..., 0] - b01 * x[..., 1]) / det
-        y1 = (b00 * x[..., 1] - b01.conj() * x[..., 0]) / det
-        return np.stack([y0, y1], axis=-1)
-    if b.shape[-1] == 3:
-        return _solve_posdef_3x3(b, x)
-    return np.linalg.solve(b, x[..., None])[..., 0]
+    n = q.shape[-1]
+    if n not in (2, 3):
+        return unit(np.linalg.solve(np.eye(n) + q, x[..., None])[..., 0])
+    y = (_solve_2x2 if n == 2 else _solve_3x3)(q, x)
+    norm = _norm(y)
+    out = np.empty(np.shape(norm) + (n,), np.result_type(*y))
+    for j, c in enumerate(y):
+        np.divide(c, norm, out=out[..., j])
+    return out

@@ -72,24 +72,38 @@ def _horner(x, coefs):
 def erfc(x):
     """Complementary error function, elementwise, as a float array.
 
-    Cephes' three ranges: 1 - erf(x) for |x| < 1, the P/Q fraction on
-    [1, 8) and R/S from 8, with 2 - erfc(|x|) for negative x.  Where
+    Cephes' ranges: 1 - erf(x) for |x| < 1, the P/Q fraction on [1, 8)
+    and R/S from 8, with 2 - erfc(|x|) for negative x.  Where
     x^2 > MAXLOG it is exactly 0 (2 below zero); +-inf give 0 and 2, and
-    NaN stays NaN.
+    NaN stays NaN.  Each range is evaluated on its own elements only (NaN
+    goes with [1, 8)), which take there the operations they took when
+    every range was evaluated on every element; the x^2 > MAXLOG range,
+    where e^-x^2 underflows and np.exp is slowest, takes none.
     """
     x = np.asarray(x, dtype=float)
-    a = np.abs(x)
-    # inf and overflowing x^2 make inf/inf here; the masks below set them.
-    with np.errstate(all="ignore"):
-        z = x * x
-        big = a >= 8.0
-        p = np.where(big, _horner(a, _ERFC_R), _horner(a, _ERFC_P))
-        q = np.where(big, _horner(a, _ERFC_S), _horner(a, _ERFC_Q))
-        y = np.exp(-z) * p / q
-        erf = x * _horner(z, _ERF_T) / _horner(z, _ERF_U)
-    y = np.where(z > _MAXLOG, 0.0, y)
-    y = np.where(x < 0, 2.0 - y, y)
-    return np.where(a < 1.0, 1.0 - erf, y)
+    flat = x.ravel()
+    a = np.abs(flat)
+    out = np.zeros(flat.shape)
+    small = a < 1.0
+    big = a >= 8.0
+    with np.errstate(over="ignore"):
+        beyond = a * a > _MAXLOG
+    # Index gathers: a boolean index is several times slower on these
+    # interleaved ranges.
+    part = np.flatnonzero(small)
+    xp = flat[part]
+    z = xp * xp
+    out[part] = 1.0 - xp * _horner(z, _ERF_T) / _horner(z, _ERF_U)
+    for part, num, den in ((~(small | big), _ERFC_P, _ERFC_Q),
+                           (big & ~beyond, _ERFC_R, _ERFC_S)):
+        part = np.flatnonzero(part)
+        xp = flat[part]
+        ap = np.abs(xp)
+        out[part] = np.exp(-(xp * xp)) * _horner(ap, num) / _horner(ap, den)
+    neg = flat <= -1.0
+    if neg.any():
+        out[neg] = 2.0 - out[neg]
+    return out.reshape(x.shape)
 
 
 def qfunc(x):
@@ -143,13 +157,10 @@ def _tables(b):
     return re + 1j * im, labels.ravel().astype(np.uint8)
 
 
-# popcount of every label value: bit errors between two labels.
-_POPCOUNT = np.uint8([bin(v).count("1") for v in range(2**MAX_BITS)])
-
-
 def bit_errors(sent, detected) -> np.ndarray:
-    """Bit errors per symbol between sent and detected MAX_BITS labels."""
-    return _POPCOUNT[np.bitwise_xor(sent, detected)]
+    """Bit errors per symbol between sent and detected labels: the
+    popcount of their XOR."""
+    return np.bitwise_count(np.bitwise_xor(sent, detected))
 
 
 def modulate(labels, b):
@@ -168,25 +179,58 @@ def modulate(labels, b):
     return symbols[labels]
 
 
-def _level(x, levels: int, d: float):
-    """Nearest PAM level index of equalized coordinates x, clipped to the
-    edges before the integer cast (NaN, from 0/0, goes to level 0)."""
-    z = np.fmin(np.fmax((x / d + levels - 1) / 2, 0), levels - 1)
-    return np.rint(z).astype(np.int64)
+@lru_cache(maxsize=None)
+def _mixed_tables():
+    """Geometry and labels of every bit count, for detection with several.
+
+    Returns (I, J, d, labels, offset): I, J (as floats) and d indexed by
+    b, entry 0 unused; the label tables of b = 1..MAX_BITS end to end, and
+    offset[b] where b's table begins.
+    """
+    geometry = np.array([(1, 1, 1.0)]
+                        + [_geometry(b) for b in range(1, MAX_BITS + 1)])
+    tables = [_tables(b)[1] for b in range(1, MAX_BITS + 1)]
+    offset = np.cumsum([0, 0] + [len(t) for t in tables[:-1]])
+    return (*geometry.T, np.concatenate(tables), offset)
+
+
+def _detection(b):
+    """(I, J, d, labels, offset) of demodulate's bit count b: those of
+    the count for one count (offset 0), and per-element arrays read from
+    `_mixed_tables` for an integer array of several."""
+    if np.ndim(b):
+        b = np.asarray(b)
+        if b.size and b.min() == b.max():
+            b = b.flat[0]
+    if not np.ndim(b):
+        return (*_geometry(b), _tables(b)[1], 0)
+    if b.dtype.kind not in "iu" or (b.size and (b.min() < 1
+                                                or b.max() > MAX_BITS)):
+        raise ValueError(f"bit counts must be integers in [1, {MAX_BITS}]")
+    i_side, j_side, d, labels, offset = _mixed_tables()
+    return i_side[b], j_side[b], d[b], labels, offset[b]
+
+
+def _level(x, levels, d):
+    """Nearest PAM level index of equalized coordinates x, as a whole
+    float, clipped to the edges (NaN, from 0/0, goes to level 0)."""
+    return np.rint(np.fmin(np.fmax((x / d + levels - 1) / 2, 0),
+                           levels - 1))
 
 
 def demodulate(y, gain, amplitude, b):
     """Nearest-neighbor detection after equalizing by gain * amplitude.
 
     Returns the detected Gray labels, shaped like `y` broadcast against
-    `gain` and `amplitude` (say (M, 1) for M rows of symbols).  A zero
-    gain marks the stream dead: its symbols demodulate to label 0, which
+    `gain`, `amplitude` and `b` (say (M, 1) each for M rows of symbols).
+    b is one bit count, or an integer array of them: a row of b-bit
+    symbols detects exactly as a call with that b alone.  A zero gain
+    marks the stream dead: its symbols demodulate to label 0, which
     against random data counts as ~50% bit errors.  A non-finite sample
     or gain, an amplitude that is not finite and positive, or a b beyond
     MAX_BITS is rejected.
     """
-    i_side, j_side, d = _geometry(b)
-    labels = _tables(b)[1]
+    i_side, j_side, d, labels, offset = _detection(b)
     y = np.asarray(y, dtype=complex)
     gain = np.asarray(gain)
     amplitude = np.asarray(amplitude, dtype=float)
@@ -198,10 +242,15 @@ def demodulate(y, gain, amplitude, b):
         raise ValueError("y must be finite")
     dead = gain == 0
     x = y / np.where(dead, 1.0, gain * amplitude)
+    # Levels and label indices are whole numbers, exact in float: one cast.
+    mixed = np.ndim(offset) > 0
     level = _level(x.real, i_side, d)
-    if j_side > 1:
-        level = level * j_side + _level(x.imag, j_side, d)
-    detected = labels[level]
+    if mixed or j_side > 1:
+        level *= j_side
+        level += _level(x.imag, j_side, d)
+    if mixed:
+        level += offset
+    detected = labels[level.astype(np.int64)]
     return np.where(dead, 0, detected) if np.any(dead) else detected
 
 
@@ -246,21 +295,50 @@ def ber_awgn_instant(b, post_snr):
     """Exact bit error rate of b-bit Gray QAM at the given symbol SNR.
 
     Vectorized over post_snr; reduces to Q(sqrt(snr)) for b = 2 (4-QAM).
-    Q is evaluated once per distinct square and gathered back to the term
-    axis, so each sum adds the same values in the same order as a
-    per-term evaluation.
+    b is one bit count, or an integer array of them shaped like post_snr,
+    one per SNR; every element then gets the value a call with its b alone
+    gives, and Q runs once for all of them.  Q is evaluated once per
+    distinct square and gathered back to the term axis, so each sum adds
+    the same values in the same order as a per-term evaluation.
     """
-    w, _, denom = _qam_terms(b)
-    sq, term = _distinct_squares(b)
     snr = np.asarray(post_snr, dtype=float)
     if not np.all(snr >= 0):
         raise ValueError("post_snr must be nonnegative")
-    args = np.sqrt(6.0 * sq * snr[..., None] / denom)
-    # take, not q[..., term]: fancy indexing would return the term axis
-    # strided, and the sum would then add in another order.
-    q = np.take(qfunc(args), term, axis=-1)
-    out = (w * q).sum(axis=-1) / b
-    return out.item() if np.ndim(post_snr) == 0 else out
+    if not np.ndim(b):
+        out, = _ber_terms([(b, snr)])
+        return out.item() if np.ndim(post_snr) == 0 else out
+    b = np.asarray(b)
+    if b.shape != snr.shape or b.dtype.kind not in "iu":
+        raise ValueError("an array of bit counts must be integers shaped "
+                         "like post_snr")
+    out = np.empty(snr.shape)
+    loads = [(count, b == count) for count in np.unique(b)]
+    for (_, mask), ber in zip(loads, _ber_terms(
+            [(count, snr[mask]) for count, mask in loads])):
+        out[mask] = ber
+    return out
+
+
+def _ber_terms(groups) -> list:
+    """ber_awgn_instant of each (b, snr) group, with one Q call for all."""
+    args = []
+    for b, snr in groups:
+        _, _, denom = _qam_terms(b)
+        sq, _ = _distinct_squares(b)
+        args.append(np.sqrt(6.0 * sq * snr[..., None] / denom))
+    flat = [a.ravel() for a in args]
+    q = qfunc(flat[0] if len(flat) == 1 else np.concatenate(flat))
+    out = []
+    start = 0
+    for (b, _), a in zip(groups, args):
+        w = _qam_terms(b)[0]
+        term = _distinct_squares(b)[1]
+        # take, not qb[..., term]: fancy indexing would return the term
+        # axis strided, and the sum would then add in another order.
+        qb = np.take(q[start:start + a.size].reshape(a.shape), term, axis=-1)
+        start += a.size
+        out.append((w * qb).sum(axis=-1) / b)
+    return out
 
 
 def _rayleigh_q_mean(beta):

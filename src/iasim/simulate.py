@@ -98,33 +98,33 @@ def _pack(data: np.ndarray) -> np.ndarray:
 
 
 def _transmit_block(gains, bits, powers, rngs) -> np.ndarray:
-    """One block of _transmit: per-frame draws, then one modulate and one
-    demodulate call per bit count and one stacked channel product."""
+    """One block of _transmit: per-frame draws, one modulate call per bit
+    count, one stacked channel product and one demodulate call."""
     f, n = bits.shape
     loads = [int(b) for b in np.unique(bits) if b > 0]
     # Streams carrying b bits, frame-major: the order the draws visit them.
-    streams = {b: np.nonzero(bits == b) for b in loads}
+    streams = [np.nonzero(bits == b) for b in loads]
     drawn = random_bits(rngs, FRAME_USES * bits.sum(axis=1))
     # Stream (f, s) takes FRAME_USES * bits[f, s] bits from its offset.
     start = FRAME_USES * (np.cumsum(bits) - bits.ravel()).reshape(f, n)
-    sent = {}
+    sent = []
     x = np.zeros((f, n, FRAME_USES), dtype=complex)
-    for b in loads:
-        data = drawn[start[streams[b]][:, None] + np.arange(FRAME_USES * b)]
-        sent[b] = _pack(data.reshape(-1, FRAME_USES, b))
-        x[streams[b]] = modulate(sent[b], b)
+    for b, ix in zip(loads, streams):
+        data = drawn[start[ix][:, None] + np.arange(FRAME_USES * b)]
+        sent.append(_pack(data.reshape(-1, FRAME_USES, b)))
+        x[ix] = modulate(sent[-1], b)
     noise = complex_normal(rngs, (n, FRAME_USES))
 
     amps = np.sqrt(powers)
     r = gains @ (amps[..., None] * x) + noise
 
+    # Every loaded stream, grouped by bit count as `sent` is.
+    fr, st = (np.concatenate(ix) for ix in zip(*streams))
+    rx = demodulate(r[fr, st], gains[fr, st, st][:, None],
+                    amps[fr, st][:, None], bits[fr, st][:, None])
     counts = np.zeros((f, n, 2), dtype=np.int64)
-    for b in loads:
-        fr, st = streams[b]
-        rx = demodulate(r[fr, st], gains[fr, st, st][:, None],
-                        amps[fr, st][:, None], b)
-        counts[fr, st, 0] = FRAME_USES * b
-        counts[fr, st, 1] = bit_errors(sent[b], rx).sum(axis=1)
+    counts[fr, st, 0] = FRAME_USES * bits[fr, st]
+    counts[fr, st, 1] = bit_errors(np.concatenate(sent), rx).sum(axis=1)
     return counts
 
 
@@ -186,9 +186,9 @@ def _predicted(bits: np.ndarray, snr: np.ndarray, r: int) -> np.ndarray:
     """Each frame's predicted BER (1/R) sum_i P_b(snr_i) b_i, (F,), for
     channels carrying bits[f, i] bits at symbol SNR snr[f, i]."""
     contrib = np.zeros(bits.shape)
-    for b in [int(b) for b in np.unique(bits) if b > 0]:
-        mask = bits == b
-        contrib[mask] = ber_awgn_instant(b, snr[mask]) * b
+    loaded = bits > 0
+    b = bits[loaded]
+    contrib[loaded] = ber_awgn_instant(b, snr[loaded]) * b
     return contrib.sum(axis=1) / r
 
 

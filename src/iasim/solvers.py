@@ -101,6 +101,19 @@ def _metrics(channels, u, v, powers):
     return z, leakage, sinr
 
 
+def _covariances(w, tl):
+    """Weighted sums over l of tl[l, i] conj(tl[l, j]), entry-major.
+
+    Returns the (n, n, K, F) array whose entry [i, j, k, f] is the sum
+    over l of w[l, k, f] tl[l, i, k, f] conj(tl[l, j, k, f]), for weights
+    w (K, K, F) and signals tl (K, n, K, F).  Every term is formed in one
+    product, which is reduced over l in order, l = 0 first, from 0.
+    """
+    wt = w[:, None] * tl
+    return np.add.reduce(wt[:, :, None] * tl.conj()[:, None], axis=0,
+                         initial=0)
+
+
 def _alternate(h, p, iterations, v, update, trace=None):
     """The reciprocity loop shared by both designs; returns (u, v).
 
@@ -117,11 +130,12 @@ def _alternate(h, p, iterations, v, update, trace=None):
     conj(H_lk[i, j]), so a half-step's signals t[f, l, k] = H_kl v_l and
     s[f, l, k] = H_lk^H u_l are one row-times-matrix product per (f, l).
     Node k's covariance sum_l w[l, k, f] t t^H, with w[l, k, f] = p[f, l]
-    and the own pair zeroed, is summed elementwise over l: as a matmul
-    it would cost one BLAS call per tiny matrix.  It is built entry-major:
-    with the signals transposed once to (l, i, k, f), every entry q[i, j]
-    is a contiguous (K, F) block of an (n, n, K, F) sum over l, which
-    reaches `update` as its (F, K, n, n) view.
+    and the own pair zeroed, is summed elementwise over l
+    (`_covariances`): as a matmul it would cost one BLAS call per tiny
+    matrix.  It is built entry-major: with the signals transposed once to
+    (l, i, k, f), every entry q[i, j] is a contiguous (K, F) block of an
+    (n, n, K, F) sum over l, which reaches `update` as its (F, K, n, n)
+    view.
     """
     f, k, _, nr, nt = h.shape
     hf = h.transpose(0, 2, 4, 1, 3).reshape(f * k, nt, k * nr)
@@ -133,10 +147,7 @@ def _alternate(h, p, iterations, v, update, trace=None):
     def update_from(x, layout):
         """New vectors from x's signals t[f, l, k] at every node k."""
         t = (x.reshape(f * k, 1, -1) @ layout).reshape(f, k, k, -1)
-        tl = np.ascontiguousarray(t.transpose(1, 3, 2, 0))
-        wt = w[:, None] * tl
-        tc = tl.conj()
-        q = sum(wt[l, :, None] * tc[l] for l in range(k))
+        q = _covariances(w, np.ascontiguousarray(t.transpose(1, 3, 2, 0)))
         return update(q.transpose(3, 2, 0, 1), t[:, diag, diag])
 
     def record(u, v):
@@ -190,9 +201,8 @@ def maxsinr_solve_batch(channels: np.ndarray, powers, iterations: int,
     the returned precoders.
     """
     h, p, v = _start(channels, powers, iterations, init_v)
-    u, v = _alternate(
-        h, p, iterations, v,
-        lambda q, d: unit(solve_posdef(np.eye(q.shape[-1]) + q, d)))
+    u, v = _alternate(h, p, iterations, v,
+                      lambda q, d: solve_posdef(q, d))
     return IaSolution(v, u, *_metrics(h, u, v, p), p)
 
 

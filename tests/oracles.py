@@ -1,15 +1,16 @@
 """Reference versions of the engine's batched layers.
 
 Each function here is the frame-by-frame (or channel-by-channel, or
-einsum, or LAPACK, or scipy, or unfused) form of a function in the
-package; the tests compare the two.  The package matches them exactly,
-except the solver loop, which matches `alternate` to within rounding, the
-closed-form 3x3 kernels, which match the LAPACK `min_eigvec` and
-`solve_posdef` to within rounding (and the unfused `min_eigvec` byte for
-byte), the Cephes port behind `modem.qfunc`, which matches `qfunc` to
-within rounding, the Max-SINR prediction, which sums in another order,
-and the mode check, which rejects the same cases with other messages.
-None of them runs in the engine.
+einsum, or LAPACK, or scipy, or unfused, or per-count) form of a function
+in the package; the tests compare the two.  The package matches them
+exactly, except the solver loop, which matches `alternate` to within
+rounding, the closed-form 3x3 kernels, which match the LAPACK
+`min_eigvec` and `solve_posdef` to within rounding (and the unfused
+`min_eigvec` and stacked `maxsinr_update` byte for byte), the Cephes port
+behind `modem.qfunc`, which matches `qfunc` to within rounding (and the
+all-ranges `erfc` byte for byte), the Max-SINR prediction, which sums in
+another order, and the mode check, which rejects the same cases with
+other messages.  None of them runs in the engine.
 """
 
 import math
@@ -19,10 +20,15 @@ from scipy.special import erfc
 
 from iasim import modem
 from iasim.bitload import check_rate_budget
-from iasim.linalg import _fix_phase, unit
-from iasim.modem import MAX_BITS, ber_awgn_instant
-from iasim.simulate import MODE_ADAPTIVE, MODE_SVD, RUN_MODES
+from iasim.linalg import unit
+from iasim.modem import MAX_BITS, ber_awgn_instant, modulate
+from iasim.network import complex_normal as draw_normal, random_bits
+from iasim.simulate import (FRAME_USES, MODE_ADAPTIVE, MODE_SVD, RUN_MODES,
+                            _pack)
 from iasim.solvers import _offdiag_power, cross_gains
+
+
+_TINY = 1e-300
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
@@ -60,18 +66,26 @@ def draw_inits(cfg, rngs, n: int) -> np.ndarray:
     return inits
 
 
+def fix_phase(v: np.ndarray) -> np.ndarray:
+    """Rotate each vector so its largest-magnitude entry is real positive:
+    the package's phase rule, with argmax's lead entry."""
+    idx = np.argmax(np.abs(v), axis=-1, keepdims=True)
+    lead = np.take_along_axis(v, idx, axis=-1)
+    phase = lead / np.maximum(np.abs(lead), _TINY)
+    return v * phase.conj()
+
+
 def min_eigvec(a) -> np.ndarray:
     """LAPACK's eigenvector of each matrix's smallest eigenvalue, with the
     package's phase rule."""
-    return _fix_phase(np.linalg.eigh(a)[1][..., :, 0])
+    return fix_phase(np.linalg.eigh(a)[1][..., :, 0])
 
 
 # The closed-form min_eigvec kernels as the package had them before their
 # numpy passes were fused: each stacks its candidates, then `unit` and
-# `_fix_phase` normalise and rotate them as separate steps.  The
+# `fix_phase` normalise and rotate them as separate steps.  The
 # package's kernels match these byte for byte.
 
-_TINY = 1e-300
 _DEGENERATE_3X3 = 1e-6
 
 
@@ -187,13 +201,85 @@ def closed_min_eigvec(a) -> np.ndarray:
     above."""
     a = np.asarray(a)
     if a.shape[-1] == 2:
-        return _fix_phase(min_eigvec_2x2(a))
-    return _fix_phase(unit(min_eigvec_3x3(a)))
+        return fix_phase(min_eigvec_2x2(a))
+    return fix_phase(unit(min_eigvec_3x3(a)))
 
 
 def solve_posdef(b, x) -> np.ndarray:
     """LAPACK's solution of b y = x for stacked matrices and vectors."""
     return np.linalg.solve(b, np.asarray(x)[..., None])[..., 0]
+
+
+# The Max-SINR node update as the package had it before it was fused:
+# I + Q formed, solved by stacked closed forms, then `unit`.  The
+# package's `solve_posdef` matches it byte for byte.
+
+def solve_stacked(b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Solve b y = x for stacked b = I + Q, Q Hermitian PSD.
+
+    The 2x2 form clamps det b to its bound tr b - 1; the 3x3 form is an
+    unrolled LDL^H with every pivot, a Schur complement of b and so at
+    least 1, clamped at 1.  Other sizes go to LAPACK.
+    """
+    b = np.asarray(b)
+    x = np.asarray(x)
+    if b.shape[-1] == 2:
+        b00 = b[..., 0, 0]
+        b01 = b[..., 0, 1]
+        b11 = b[..., 1, 1]
+        det = np.maximum(b00.real * b11.real - np.abs(b01) ** 2,
+                         b00.real + b11.real - 1)
+        y0 = (b11 * x[..., 0] - b01 * x[..., 1]) / det
+        y1 = (b00 * x[..., 1] - b01.conj() * x[..., 0]) / det
+        return np.stack([y0, y1], axis=-1)
+    if b.shape[-1] != 3:
+        return solve_posdef(b, x)
+    b01, b02, b12 = b[..., 0, 1], b[..., 0, 2], b[..., 1, 2]
+    d0 = np.maximum(b[..., 0, 0].real, 1.0)
+    l10 = b01.conj() / d0
+    l20 = b02.conj() / d0
+    d1 = np.maximum(b[..., 1, 1].real - abs2(b01) / d0, 1.0)
+    l21 = (b12.conj() - l20 * b01) / d1
+    d2 = np.maximum(b[..., 2, 2].real - abs2(b02) / d0 - d1 * abs2(l21),
+                    1.0)
+    z0 = x[..., 0]
+    z1 = x[..., 1] - l10 * z0
+    z2 = x[..., 2] - l20 * z0 - l21 * z1
+    y2 = z2 / d2
+    y1 = z1 / d1 - l21.conj() * y2
+    y0 = z0 / d0 - l10.conj() * y1 - l20.conj() * y2
+    return np.stack([y0, y1, y2], axis=-1)
+
+
+def maxsinr_update(q, d) -> np.ndarray:
+    """unit((I + Q)^-1 d) through `solve_stacked`."""
+    q = np.asarray(q)
+    return unit(solve_stacked(np.eye(q.shape[-1]) + q, d))
+
+
+def covariances(w, tl) -> np.ndarray:
+    """`solvers._covariances` as a Python sum from 0, one l at a time."""
+    wt = w[:, None] * tl
+    tc = tl.conj()
+    return sum(wt[l, :, None] * tc[l] for l in range(len(wt)))
+
+
+def erfc_all_ranges(x):
+    """The package's Cephes erfc with every range evaluated on every
+    element, then picked by np.where."""
+    h = modem._horner
+    x = np.asarray(x, dtype=float)
+    a = np.abs(x)
+    with np.errstate(all="ignore"):
+        z = x * x
+        big = a >= 8.0
+        p = np.where(big, h(a, modem._ERFC_R), h(a, modem._ERFC_P))
+        q = np.where(big, h(a, modem._ERFC_S), h(a, modem._ERFC_Q))
+        y = np.exp(-z) * p / q
+        erf = x * h(z, modem._ERF_T) / h(z, modem._ERF_U)
+    y = np.where(z > modem._MAXLOG, 0.0, y)
+    y = np.where(x < 0, 2.0 - y, y)
+    return np.where(a < 1.0, 1.0 - erf, y)
 
 
 def qfunc(x):
@@ -234,6 +320,69 @@ def bits_to_labels(bits) -> np.ndarray:
 def labels_to_bits(labels, b: int) -> np.ndarray:
     """(..., b) bit words of b-bit labels, most significant bit first."""
     return (np.asarray(labels)[..., None] >> np.arange(b - 1, -1, -1)) & 1
+
+
+# Detection and prediction as the package had them before each block made
+# one demodulate call and each prediction one Q call: one call per bit
+# count, and bit errors through a popcount table.
+
+POPCOUNT = np.uint8([bin(v).count("1") for v in range(2**MAX_BITS)])
+
+
+def demodulate_per_count(y, gain, amplitude, b: int):
+    """Nearest-neighbor labels of b-bit symbols y after equalizing by
+    gain * amplitude, with integer levels; a zero gain reads label 0."""
+    i_side, j_side, d = modem._geometry(b)
+    labels = modem._tables(b)[1]
+    gain = np.asarray(gain)
+    dead = gain == 0
+    x = np.asarray(y, dtype=complex) / np.where(dead, 1.0, gain * amplitude)
+
+    def level(v, levels):
+        z = np.fmin(np.fmax((v / d + levels - 1) / 2, 0), levels - 1)
+        return np.rint(z).astype(np.int64)
+
+    lv = level(x.real, i_side)
+    if j_side > 1:
+        lv = lv * j_side + level(x.imag, j_side)
+    detected = labels[lv]
+    return np.where(dead, 0, detected) if np.any(dead) else detected
+
+
+def transmit_block_per_count(gains, bits, powers, rngs) -> np.ndarray:
+    """`simulate._transmit_block` with one modulate and one demodulate
+    call per bit count."""
+    f, n = bits.shape
+    loads = [int(b) for b in np.unique(bits) if b > 0]
+    streams = {b: np.nonzero(bits == b) for b in loads}
+    drawn = random_bits(rngs, FRAME_USES * bits.sum(axis=1))
+    start = FRAME_USES * (np.cumsum(bits) - bits.ravel()).reshape(f, n)
+    sent = {}
+    x = np.zeros((f, n, FRAME_USES), dtype=complex)
+    for b in loads:
+        data = drawn[start[streams[b]][:, None] + np.arange(FRAME_USES * b)]
+        sent[b] = _pack(data.reshape(-1, FRAME_USES, b))
+        x[streams[b]] = modulate(sent[b], b)
+    noise = draw_normal(rngs, (n, FRAME_USES))
+    amps = np.sqrt(powers)
+    r = gains @ (amps[..., None] * x) + noise
+    counts = np.zeros((f, n, 2), dtype=np.int64)
+    for b in loads:
+        fr, st = streams[b]
+        rx = demodulate_per_count(r[fr, st], gains[fr, st, st][:, None],
+                                  amps[fr, st][:, None], b)
+        counts[fr, st, 0] = FRAME_USES * b
+        counts[fr, st, 1] = POPCOUNT[np.bitwise_xor(sent[b], rx)].sum(axis=1)
+    return counts
+
+
+def predicted_per_count(bits: np.ndarray, snr: np.ndarray, r: int):
+    """`simulate._predicted` with one ber_awgn_instant call per bit count."""
+    contrib = np.zeros(bits.shape)
+    for b in [int(b) for b in np.unique(bits) if b > 0]:
+        mask = bits == b
+        contrib[mask] = ber_awgn_instant(b, snr[mask]) * b
+    return contrib.sum(axis=1) / r
 
 
 def greedy_bitload(ber_of, n_channels: int, total_rate: int) -> np.ndarray:

@@ -11,7 +11,8 @@ from iasim.network import NetworkConfig, complex_normal
 from iasim.simulate import (Design, _ber_table, _design, _init_slots,
                             _sample_frames, _stream_design, _stream_gains)
 from iasim.solvers import IaSolution
-from oracles import greedy_bitload, sinr_prediction, table_prediction
+from oracles import (greedy_bitload, predicted_per_count, sinr_prediction,
+                     table_prediction)
 
 
 def weighted_ber(bits, ber_of, r):
@@ -291,6 +292,17 @@ class TestPrediction:
             monkeypatch, "maxsinr", power_p, rate_per_pair)
         want = sinr_prediction(design.bits, sol.sinr, cfg.total_rate)
         assert np.allclose(design.predicted, want, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("power_p", [0.3, 10.0, 1e3])
+    @pytest.mark.parametrize("rate_per_pair", [1, 2, 4])
+    def test_maxsinr_prediction_bytes_match_per_count_calls(
+            self, monkeypatch, power_p, rate_per_pair):
+        # One Q call for all bit counts gives every channel the bytes of
+        # one ber_awgn_instant call per count.
+        cfg, design, sol, _, _ = self.designed(
+            monkeypatch, "maxsinr", power_p, rate_per_pair)
+        want = predicted_per_count(design.bits, sol.sinr, cfg.total_rate)
+        assert design.predicted.tobytes() == want.tobytes()
 
 
 class TestSelectMode:

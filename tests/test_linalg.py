@@ -52,11 +52,15 @@ def test_min_eigvec_diagonal_picks_smaller():
 
 
 def test_solve_posdef_matches_lapack(rng):
+    # solve_posdef(q, x) is the unit solution of (I + q) y = x.
     for n in (2, 3):
         a = hermitian_stack(rng, n, 300) + 2 * np.eye(n)
         x = rng.standard_normal((300, n)) + 1j * rng.standard_normal((300, n))
-        y = solve_posdef(a, x)
-        assert np.allclose(np.einsum("fij,fj->fi", a, y), x, atol=1e-9)
+        y = solve_posdef(a - np.eye(n), x)
+        assert np.allclose(np.linalg.norm(y, axis=-1), 1.0, atol=1e-13)
+        scale = np.linalg.norm(oracles.solve_posdef(a, x), axis=-1)
+        assert np.allclose(np.einsum("fij,fj->fi", a, y) * scale[:, None], x,
+                           atol=1e-9)
 
 
 @pytest.mark.parametrize("power", [1e12, 1e15, 1e18])
@@ -68,19 +72,18 @@ def test_solve_posdef_identity_plus_strong_rank_one(rng, n, power):
     # and x^H b^-1 x positive.
     a = rng.standard_normal((200, n)) + 1j * rng.standard_normal((200, n))
     x = rng.standard_normal((200, n)) + 1j * rng.standard_normal((200, n))
-    b = np.eye(n) + power * a[:, :, None] * a[:, None, :].conj()
-    y = solve_posdef(b, x)
+    y = solve_posdef(power * a[:, :, None] * a[:, None, :].conj(), x)
     assert np.isfinite(y).all()
     assert np.all(np.einsum("fi,fi->f", x.conj(), y).real > 0)
 
 
 @pytest.mark.parametrize("power", [1e-3, 1.0, 30.0, 1e3])
 def test_solve_posdef_3x3_matches_lapack_oracle(rng, power):
-    b = np.eye(3) + power * hermitian_stack(rng, 3, 500)
+    q = power * hermitian_stack(rng, 3, 500)
     x = rng.standard_normal((500, 3)) + 1j * rng.standard_normal((500, 3))
-    want = oracles.solve_posdef(b, x)
-    err = np.linalg.norm(solve_posdef(b, x) - want, axis=-1)
-    assert np.all(err <= 1e-12 * np.linalg.norm(want, axis=-1))
+    want = unit(oracles.solve_posdef(np.eye(3) + q, x))
+    err = np.linalg.norm(solve_posdef(q, x) - want, axis=-1)
+    assert np.all(err <= 1e-12)
 
 
 def test_min_eigvec_3x3_matches_lapack_oracle(rng):
@@ -267,3 +270,84 @@ def test_min_eigvec_3x3_overflow_gives_the_oracles_nans():
         got, want = min_eigvec(a), oracles.closed_min_eigvec(a)
     assert np.isnan(got).any()
     np.testing.assert_array_equal(got, want)
+
+
+# The Max-SINR update against its stacked form in oracles (I + Q formed,
+# solved, then `unit`), byte for byte.
+
+VECTOR = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324]),
+                   st.floats(-1e6, 1e6))
+
+
+@given(q=st.integers(2, 3).flatmap(hermitian), psd=st.booleans(),
+       real=st.booleans(), layout=st.booleans(), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_solve_posdef_bytes_match_stacked_oracle(q, psd, real, layout,
+                                                 data):
+    n = q.shape[-1]
+    parts = data.draw(hnp.arrays(np.float64, q.shape[:-1] + (2,),
+                                 elements=VECTOR))
+    x = parts[..., 0] + 1j * parts[..., 1]
+    if psd:
+        q = q @ q.conj().swapaxes(-1, -2)
+    if real:
+        q, x = np.ascontiguousarray(q.real), np.ascontiguousarray(x.real)
+    if layout:
+        q = solver_layout(q)
+    with np.errstate(all="ignore"):
+        assert_same_bytes(solve_posdef(q, x), oracles.maxsinr_update(q, x))
+
+
+@pytest.mark.parametrize("batch", BATCHES)
+@pytest.mark.parametrize("n", [2, 3])
+def test_solve_posdef_matches_stacked_oracle_on_special_matrices(n, batch):
+    # Zero Q, rank-one Q up to P = 1e18, and I + Q at P = 1e-3..1e18,
+    # where the determinant and pivot clamps engage; against direction
+    # vectors with signed zeros and subnormals.
+    rng = np.random.default_rng(7)
+    t = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    rank1 = t[:, None] * t.conj()
+    mats = list(special_matrices(n)) + [
+        power * rank1 for power in 10.0 ** np.arange(-3, 19, 3)]
+    dirs = [t, np.zeros(n), np.full(n, -0.0 + 0j), np.r_[5e-324, -0.0, 1j][:n],
+            np.conj(t[::-1])]
+    for q in mats:
+        q = np.broadcast_to(q, batch + (n, n)).copy()
+        for d in dirs:
+            d = np.broadcast_to(d, batch + (n,)).copy()
+            with np.errstate(all="ignore"):
+                assert_same_bytes(solve_posdef(q, d),
+                                  oracles.maxsinr_update(q, d))
+
+
+@pytest.mark.parametrize("power", 10.0 ** np.arange(-3, 19, 3))
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_solve_posdef_matches_stacked_oracle_on_interference_covariances(
+        rng, n, power):
+    # The solvers' operands: PSD covariances of rank K - 1 = 1 or 2 at
+    # powers from -30 to 180 dB, in the solvers' memory layout, with
+    # C-ordered directions.  n = 1 and 4 go to LAPACK on both sides.
+    t = rng.standard_normal((5, 3, n, 2)) + 1j * rng.standard_normal(
+        (5, 3, n, 2))
+    d = rng.standard_normal((5, 3, n)) + 1j * rng.standard_normal((5, 3, n))
+    for q in (t[..., :1], t):
+        q = solver_layout(power * (q @ q.conj().swapaxes(-1, -2)))
+        if n in (1, 4) and power > 1e6:
+            continue  # I + Q singular to LAPACK
+        assert_same_bytes(solve_posdef(q, d), oracles.maxsinr_update(q, d))
+
+
+@pytest.mark.parametrize("batch", [(), (9,), (40, 3)])
+def test_min_eigvec_4x4_matches_lapack_to_rounding(rng, batch):
+    # n >= 4 takes LAPACK's vector through the same normalise-and-rotate
+    # step as the closed forms: it moves the already unit vectors by
+    # rounding only, and rotates the lead entry real positive to within
+    # rounding, as the old phase fix did.
+    a = rng.standard_normal(batch + (4, 4)) + 1j * rng.standard_normal(
+        batch + (4, 4))
+    a = a + a.conj().swapaxes(-1, -2)
+    got, want = min_eigvec(a), oracles.min_eigvec(a)
+    np.testing.assert_allclose(got, want, rtol=0, atol=2e-15)
+    lead = np.take_along_axis(got, np.argmax(np.abs(got), axis=-1)[..., None],
+                              axis=-1)
+    assert np.all(np.abs(lead.imag) <= 1e-15) and np.all(lead.real > 0)

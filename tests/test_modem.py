@@ -3,13 +3,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.integrate import quad
 
 import oracles
-from iasim.modem import (BerEstimate, ber_awgn_instant, bit_errors,
-                         demodulate, minil_avg_ber, modulate, qfunc,
-                         svd_avg_ber, _eigensum_coeffs, _q_gamma_moment,
-                         _tables)
+from iasim.modem import (MAX_BITS, BerEstimate, ber_awgn_instant,
+                         bit_errors, demodulate, erfc, minil_avg_ber,
+                         modulate, qfunc, svd_avg_ber, _eigensum_coeffs,
+                         _q_gamma_moment, _tables, _MAXLOG)
 from iasim.network import complex_normal
 
 
@@ -311,6 +313,95 @@ class TestQfuncPort:
                                   oracles.ber_awgn_per_term(b, s))
         for x in (0.0, 37.5, 1e6, np.inf):
             assert ber_awgn_instant(b, x) == oracles.ber_awgn_per_term(b, x)
+
+
+def assert_same_bytes(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+class TestFusedForms:
+    # The range-split erfc, the one-call detect and prediction, and the
+    # popcount against their forms in oracles, byte for byte.
+    SPECIAL = np.array(
+        [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+         1e-310, 1e300, -1e300]
+        + [s * np.nextafter(e, e + t) for e in (1.0, 8.0, np.sqrt(_MAXLOG))
+           for t in (-1.0, 0.0, 1.0) for s in (1.0, -1.0)])
+
+    def test_erfc_special_values(self):
+        for x in (self.SPECIAL, self.SPECIAL.reshape(-1, 1)[::2]):
+            assert_same_bytes(erfc(x), oracles.erfc_all_ranges(x))
+        for x in self.SPECIAL:
+            assert_same_bytes(erfc(x), oracles.erfc_all_ranges(x))
+            assert_same_bytes(qfunc(x), 0.5 * oracles.erfc_all_ranges(
+                np.asarray(x) / np.sqrt(2.0)))
+
+    def test_erfc_wide_grid(self, rng):
+        x = np.concatenate([TestQfuncPort.GRID, -TestQfuncPort.GRID,
+                            rng.standard_normal(20_000) * 12,
+                            np.exp(rng.uniform(-700, 700, 2000))])
+        assert_same_bytes(erfc(x), oracles.erfc_all_ranges(x))
+        assert_same_bytes(erfc(x[:80_000].reshape(400, 200)[:, ::3]),
+                          oracles.erfc_all_ranges(
+                              x[:80_000].reshape(400, 200)[:, ::3]))
+
+    @given(x=hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2),
+                        elements=st.floats(allow_nan=True,
+                                           allow_infinity=True)))
+    @settings(max_examples=200, deadline=None)
+    def test_erfc_bytes_match_all_ranges(self, x):
+        assert_same_bytes(erfc(x), oracles.erfc_all_ranges(x))
+
+    def test_bit_errors_match_popcount_table(self):
+        labels = np.arange(2**MAX_BITS, dtype=np.uint8)
+        sent, detected = np.meshgrid(labels, labels, indexing="ij")
+        assert_same_bytes(bit_errors(sent, detected),
+                          oracles.POPCOUNT[np.bitwise_xor(sent, detected)])
+
+    @pytest.mark.parametrize("loads", [[3], [1, 2, 3, 4, 5, 6], [2, 4],
+                                       [6, 1]])
+    def test_one_call_detect_matches_per_count(self, loads, rng):
+        # Rows of several bit counts in one call detect as each count's
+        # rows do alone, dead rows (gain 0) and huge coordinates included.
+        m = 60
+        b = rng.choice(loads, (m, 1))
+        gain = complex_normal(rng, (m, 1))
+        gain[::7] = 0.0
+        amp = rng.uniform(0.2, 3.0, (m, 1))
+        y = complex_normal(rng, (m, 100)) * 2.0
+        y[3, :4] = [1e30, -1e30j, 1e-300, -0.0]
+        got = demodulate(y, gain, amp, b)
+        assert got.dtype == np.uint8 and got.shape == (m, 100)
+        for count in np.unique(b):
+            rows = np.flatnonzero(b[:, 0] == count)
+            want = oracles.demodulate_per_count(y[rows], gain[rows], amp[rows],
+                                                int(count))
+            assert_same_bytes(got[rows], want)
+            assert_same_bytes(demodulate(y[rows], gain[rows], amp[rows],
+                                         int(count)), want)
+        assert np.all(got[::7] == 0)
+
+    @pytest.mark.parametrize("b", [np.array([[1], [2.0]]),
+                                   np.array([[True], [False]]),
+                                   np.array([[0], [2]]), np.array([[2], [7]])])
+    def test_bad_bit_count_array_rejected(self, b):
+        with pytest.raises(ValueError, match="bit count"):
+            demodulate(np.ones((2, 3)), 1.0, 1.0, b)
+        with pytest.raises(ValueError, match="bit count"):
+            ber_awgn_instant(b, np.ones(b.shape))
+
+    def test_ber_per_element_counts_match_per_count_calls(self, rng):
+        b = rng.integers(1, MAX_BITS + 1, (50, 4))
+        snr = rng.exponential(30.0, (50, 4))
+        snr[0] = [0.0, np.inf, 1e-300, 1e12]
+        got = ber_awgn_instant(b, snr)
+        for count in range(1, MAX_BITS + 1):
+            mask = b == count
+            assert_same_bytes(got[mask], ber_awgn_instant(count, snr[mask]))
+        with pytest.raises(ValueError, match="shaped like"):
+            ber_awgn_instant(b[:, :2], snr)
 
 
 class TestMinilAvgBer:

@@ -8,6 +8,7 @@ import pytest
 
 import oracles
 from iasim import simulate
+from iasim.cli import FIG1_POWERS, preset
 from iasim.modem import minil_avg_ber
 from iasim.network import NetworkConfig
 from iasim.simulate import (FRAME_USES, RUN_MODES, _design, _init_slots,
@@ -316,6 +317,30 @@ class TestFig1Stats:
                           workers=workers) == serial
         assert len(pools) == 1
         assert multiprocessing.active_children() == []
+
+    # The fig1 preset's rows over its first 300 frames, recorded by
+    # float.hex: mean |z|^2 and mean leakage per power, then the
+    # beamforming ceiling.  fig1 runs unloaded Max-SINR at five powers, so
+    # any change to the bits of its node update or of the means shows.
+    FIG1_300 = [
+        ("0x1.dbc2ed4cde928p+1", "0x1.e2690086e20fap-4"),
+        ("0x1.8095ef0c70850p+1", "0x1.be5a8e1144a9fp-6"),
+        ("0x1.27f752d84cef1p+1", "0x1.7bc9492531f0bp-8"),
+        ("0x1.835876c0907afp+0", "0x1.c022ad927bcaap-10"),
+        ("0x1.3d92db0712738p+0", "0x1.a2a8ffc9a0cb8p-12"),
+    ]
+    FIG1_300_CEILING = "0x1.3507c0b0951a2p+2"
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_fig1_rows_keep_their_recorded_bits(self, workers):
+        exp = preset("fig1")
+        rows = fig1_stats(exp.cfg, FIG1_POWERS, frames=300, workers=workers)
+        assert [(row["avg_desired_power"].hex(),
+                 row["avg_interference"].hex()) for row in rows] \
+            == self.FIG1_300
+        assert [row["power"] for row in rows] == FIG1_POWERS
+        assert {row["beamforming_power"].hex() for row in rows} \
+            == {self.FIG1_300_CEILING}
 
     @pytest.mark.parametrize("workers", [0, -1, 2.5])
     def test_bad_worker_count_rejected(self, pools, workers):

@@ -326,6 +326,38 @@ def test_loop_matches_einsum_oracle(k, nr, nt, frames, monkeypatch):
                                    err_msg="half-step leakage")
 
 
+@pytest.mark.parametrize("swap", ["_covariances", "solve_posdef"])
+@pytest.mark.parametrize("frames", [1, 25])
+@pytest.mark.parametrize("k,nr,nt", [(3, 2, 2), (4, 2, 3), (2, 3, 3),
+                                     (3, 2, 1)])
+def test_fused_forms_keep_every_design_byte(k, nr, nt, frames, swap,
+                                             monkeypatch):
+    # The reduce-form covariances and the fused Max-SINR update against
+    # their forms in oracles (a Python sum over l; I + Q formed, solved
+    # and normalised): swapping either in keeps every byte of both
+    # designs, on the batches of test_loop_matches_einsum_oracle, whose
+    # zero powers and 2-user 3x3 network make degenerate covariances.
+    oracle = {"_covariances": oracles.covariances,
+              "solve_posdef": oracles.maxsinr_update}[swap]
+    rng = np.random.default_rng(100 * k + 10 * nr + nt + frames)
+    h = complex_normal(rng, (frames, k, k, nr, nt))
+    init = complex_normal(rng, (frames, k, nt))
+    zeros = rng.uniform(0.5, 20.0, (frames, k))
+    zeros[:, 0] = 0.0
+    zeros[::2, -1] = 0.0
+    for powers in (10.0, zeros, 1e9):
+        got = (minil_solve_batch(h, powers, 8, init, track_leakage=True),
+               maxsinr_solve_batch(h, powers, 8, init))
+        with monkeypatch.context() as m:
+            m.setattr(solvers, swap, oracle)
+            want = (minil_solve_batch(h, powers, 8, init, track_leakage=True),
+                    maxsinr_solve_batch(h, powers, 8, init))
+        assert got[0][1].tobytes() == want[0][1].tobytes()
+        for a, b in ((got[0][0], want[0][0]), (got[1], want[1])):
+            for name in ("u", "v", "z", "leakage", "sinr"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+
 def test_repeated_min_eigenvalue_frames():
     # 2 users with 3 antennas: each node sees one interferer in 3
     # dimensions, at every power.

@@ -116,6 +116,25 @@ def test_zero_gain_stream_is_dead():
     assert 0.4 < dead[:, 1].sum() / dead[:, 0].sum() < 0.6
 
 
+@pytest.mark.parametrize("case", ["mixed", "uniform", "dead"])
+def test_block_matches_per_count_oracle(case):
+    # One demodulate call per block against one call per bit count with
+    # a popcount table (oracles): every count present, one count for
+    # every stream, and dead streams among several counts.
+    gains, bits, powers = _batch(_BLOCK_FRAMES, seed=12)
+    if case == "uniform":
+        bits[:] = 3
+    if case == "dead":
+        gains[::3, 1, 1] = 0.0
+        gains[1, :, :] = 0.0
+    powers = 2.0 * bits
+    got, want = (block(gains, bits, powers, substream(7, range(len(bits))))
+                 for block in (simulate._transmit_block,
+                               oracles.transmit_block_per_count))
+    assert np.array_equal(got, want)
+    assert got[..., 1].sum() > 0
+
+
 def test_run_frames_peak_memory_is_bounded():
     # The 4-user 3x2 adaptive batch holds three designs' transmit paths;
     # blocking keeps the transmit temporaries to a small fixed size.
