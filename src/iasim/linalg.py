@@ -48,8 +48,9 @@ def _unit_phase(cols) -> np.ndarray:
     for j in range(len(u) - 2, -1, -1):
         top = m[j] >= m[j + 1]
         for later in m[j + 2:]:
-            top = top & (m[j] >= later)
-        lead = np.where(top | (m[j] != m[j]), u[j], lead)
+            top &= m[j] >= later
+        top |= m[j] != m[j]
+        lead = np.where(top, u[j], lead)
     del m
     phase = np.conjugate(lead / np.maximum(np.abs(lead), _TINY))
     out = np.empty(np.shape(phase) + (len(u),), phase.dtype)
