@@ -16,6 +16,14 @@ def draw_inits(cfg: NetworkConfig, frame_indices, n_draws: int = 1):
     return Channels(h_hat, h), np.stack(inits, axis=1)
 
 
+def assert_same_bytes(got, want):
+    """Equal dtype, shape and bytes: a changed -0.0 fails, as would a NaN
+    where the other has a number."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

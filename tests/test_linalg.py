@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
-from conftest import draw_inits
+from conftest import assert_same_bytes, draw_inits
 from iasim import solvers
 from iasim.linalg import min_eigvec, solve_posdef, unit
 from iasim.network import NetworkConfig
@@ -170,12 +170,6 @@ def test_unit_norms(rng):
 # changed -0.0 fails, as would a NaN where the other has a number.
 
 BATCHES = [(), (7,), (5, 3)]
-
-
-def assert_same_bytes(got, want):
-    got, want = np.asarray(got), np.asarray(want)
-    assert (got.dtype, got.shape) == (want.dtype, want.shape)
-    assert got.tobytes() == want.tobytes()
 
 
 def solver_layout(a):

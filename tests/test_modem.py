@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.integrate import quad
 
 import oracles
+from conftest import assert_same_bytes
 from iasim.modem import (MAX_BITS, BerEstimate, ber_awgn_instant,
                          bit_errors, demodulate, erfc, minil_avg_ber,
                          modulate, qfunc, svd_avg_ber, _eigensum_coeffs,
@@ -315,12 +316,6 @@ class TestQfuncPort:
             assert ber_awgn_instant(b, x) == oracles.ber_awgn_per_term(b, x)
 
 
-def assert_same_bytes(got, want):
-    got, want = np.asarray(got), np.asarray(want)
-    assert (got.dtype, got.shape) == (want.dtype, want.shape)
-    assert got.tobytes() == want.tobytes()
-
-
 class TestFusedForms:
     # The range-split erfc, the one-call detect and prediction, and the
     # popcount against their forms in oracles, byte for byte.
@@ -352,7 +347,13 @@ class TestFusedForms:
                                            allow_infinity=True)))
     @settings(max_examples=200, deadline=None)
     def test_erfc_bytes_match_all_ranges(self, x):
-        assert_same_bytes(erfc(x), oracles.erfc_all_ranges(x))
+        # NaN stays NaN, but its sign bit may differ: numpy's SIMD exp
+        # sets it by where a NaN sits among the elements of its call, and
+        # a range's elements are a different array than the whole.
+        got, want = erfc(x), oracles.erfc_all_ranges(x)
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert_same_bytes(np.where(nan, 0.0, got), np.where(nan, 0.0, want))
 
     def test_bit_errors_match_popcount_table(self):
         labels = np.arange(2**MAX_BITS, dtype=np.uint8)
