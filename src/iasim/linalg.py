@@ -1,9 +1,9 @@
 """Small Hermitian kernels used by the alternating solvers.
 
-All functions accept stacked operands (leading batch axes) so that many
-frames can be processed per call.  The 2x2 and 3x3 cases are closed-form,
-which saves LAPACK's per-matrix overhead on these tiny matrices; larger
-sizes go to LAPACK via numpy.
+All functions take stacked operands (leading batch axes), many frames per
+call, and run an operand without a batch axis as a stack of one.  The 2x2
+and 3x3 cases are closed-form, saving LAPACK's per-matrix overhead on
+these tiny matrices; larger sizes go to LAPACK via numpy.
 """
 
 import numpy as np
@@ -17,18 +17,20 @@ _DEGENERATE_3X3 = 1e-6
 
 def unit(v: np.ndarray) -> np.ndarray:
     """Normalize vectors along the last axis."""
-    n = np.linalg.norm(v, axis=-1, keepdims=True)
-    return v / np.maximum(n, _TINY)
+    v = np.asarray(v)
+    if v.ndim == 1:
+        return unit(v[None])[0]
+    sq = (v.conj() * v).real
+    return v / _norm([sq[..., j] for j in range(v.shape[-1])])[..., None]
 
 
-def _norm(cols):
-    """max(||v||, _TINY) of vectors given as their component arrays, as
-    `unit` forms it: numpy sums a short axis left to right, and a squared
-    magnitude is never -0, so no leading 0.0 is needed.  np.multiply,
-    because for a single vector the components may be numpy scalars, whose
-    complex `*` skips the FMA of numpy's array loops."""
-    s = [np.multiply(c.conj(), c).real for c in cols]
-    return np.maximum(np.sqrt(sum(s[1:], s[0])), _TINY)
+def _norm(sq):
+    """max(||v||, _TINY) from the squared magnitudes of v's components,
+    one array each: the package's one norm.  They are summed left to
+    right, as numpy sums an axis of up to 7 entries; a squared magnitude
+    is never -0, so no leading 0.0 is needed.  `unit` squares all of v in
+    one pass, as numpy's own norm does, which keeps its NaN sign bits."""
+    return np.maximum(np.sqrt(sum(sq[1:], sq[0])), _TINY)
 
 
 def _unit_phase(cols) -> np.ndarray:
@@ -40,7 +42,7 @@ def _unit_phase(cols) -> np.ndarray:
     variants.  The lead entry is argmax's: the first largest magnitude,
     or the first NaN.
     """
-    n = _norm(cols)
+    n = _norm([(c.conj() * c).real for c in cols])
     u = [c / n for c in cols]
     del n
     m = [np.abs(x) for x in u]
@@ -53,7 +55,7 @@ def _unit_phase(cols) -> np.ndarray:
         lead = np.where(top, u[j], lead)
     del m
     phase = np.conjugate(lead / np.maximum(np.abs(lead), _TINY))
-    out = np.empty(np.shape(phase) + (len(u),), phase.dtype)
+    out = np.empty(phase.shape + (len(u),), phase.dtype)
     for j, x in enumerate(u):
         np.multiply(x, phase, out=out[..., j])
     return out
@@ -166,13 +168,11 @@ def _min_eigvec_3x3(a: np.ndarray) -> tuple:
 
     v, n1 = _null_vector_3x3(d, a01, a02, a12, o, prods, lam)
     # lam += v^H (A - lam I) v / v^H v; a zero v leaves lam in place.
-    # np.multiply, because for a single matrix av is a numpy scalar, whose
-    # operators skip the FMA of the array loops.
     w = _abs2(v[0]) + _abs2(v[1]) + _abs2(v[2])
     rq = 0.0
     for ei, vi in zip(e, v):
         av = 0 + ei[0] * v[0] + ei[1] * v[1] + ei[2] * v[2]
-        rq = rq + np.multiply(vi.conj(), av).real
+        rq = rq + (vi.conj() * av).real
     lam = lam + (rq - lam * w) / np.maximum(w, _TINY)
     v, n2 = _null_vector_3x3(d, a01, a02, a12, o, prods, lam)
 
@@ -192,6 +192,8 @@ def min_eigvec(a: np.ndarray) -> np.ndarray:
     phase convention.
     """
     a = np.asarray(a)
+    if a.ndim == 2:
+        return min_eigvec(a[None])[0]
     n = a.shape[-1]
     if n == 1:
         return np.ones(a.shape[:-1], dtype=complex)
@@ -205,10 +207,6 @@ def min_eigvec(a: np.ndarray) -> np.ndarray:
 
 # The Max-SINR update solves (I + Q) y = x from Q's entries: b_ii = 1 + q_ii
 # and b_ij = q_ij + 0.0 are I + Q's entries, the + 0.0 its signs of zero.
-# np.multiply stands where the stacked form (I + Q formed, then solved)
-# multiplied by an entry of I + Q or of x: for a single matrix those were
-# 0-d arrays, whose product runs numpy's array loop with its FMA, while the
-# entries here may be numpy scalars, whose `*` skips it.
 
 
 def _solve_2x2(q, x) -> tuple:
@@ -220,8 +218,7 @@ def _solve_2x2(q, x) -> tuple:
     det = np.maximum(b00.real * b11.real - np.abs(b01) ** 2,
                      b00.real + b11.real - 1)
     x0, x1 = x[..., 0], x[..., 1]
-    return ((np.multiply(b11, x0) - np.multiply(b01, x1)) / det,
-            (np.multiply(b00, x1) - np.multiply(b01.conj(), x0)) / det)
+    return ((b11 * x0 - b01 * x1) / det, (b00 * x1 - b01.conj() * x0) / det)
 
 
 def _solve_3x3(q, x) -> tuple:
@@ -236,12 +233,12 @@ def _solve_3x3(q, x) -> tuple:
     l10 = b01.conj() / d0
     l20 = b02.conj() / d0
     d1 = np.maximum(1.0 + q[..., 1, 1].real - _abs2(q[..., 0, 1]) / d0, 1.0)
-    l21 = (b12.conj() - np.multiply(l20, b01)) / d1
+    l21 = (b12.conj() - l20 * b01) / d1
     d2 = np.maximum(1.0 + q[..., 2, 2].real - _abs2(q[..., 0, 2]) / d0
                     - d1 * _abs2(l21), 1.0)
     z0 = x[..., 0]
-    z1 = x[..., 1] - np.multiply(l10, z0)
-    z2 = x[..., 2] - np.multiply(l20, z0) - l21 * z1
+    z1 = x[..., 1] - l10 * z0
+    z2 = x[..., 2] - l20 * z0 - l21 * z1
     y2 = z2 / d2
     y1 = z1 / d1 - l21.conj() * y2
     y0 = z0 / d0 - l10.conj() * y1 - l20.conj() * y2
@@ -261,12 +258,14 @@ def solve_posdef(q: np.ndarray, x: np.ndarray) -> np.ndarray:
     """
     q = np.asarray(q)
     x = np.asarray(x)
+    if q.ndim == 2:
+        return solve_posdef(q[None], x[None])[0]
     n = q.shape[-1]
     if n not in (2, 3):
         return unit(np.linalg.solve(np.eye(n) + q, x[..., None])[..., 0])
     y = (_solve_2x2 if n == 2 else _solve_3x3)(q, x)
-    norm = _norm(y)
-    out = np.empty(np.shape(norm) + (n,), np.result_type(*y))
+    norm = _norm([(c.conj() * c).real for c in y])
+    out = np.empty(norm.shape + (n,), np.result_type(*y))
     for j, c in enumerate(y):
         np.divide(c, norm, out=out[..., j])
     return out

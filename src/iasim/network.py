@@ -15,10 +15,14 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 
+def is_integer(value) -> bool:
+    """An int or numpy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_count(name: str, value):
     """Reject a size, count or iteration budget that is not an integer >= 1."""
-    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            or value < 1):
+    if not is_integer(value) or value < 1:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
@@ -38,9 +42,7 @@ class NetworkConfig:
     def __post_init__(self):
         for name in ("k_pairs", "nt", "nr", "rate_per_pair", "iterations"):
             check_count(name, getattr(self, name))
-        if (isinstance(self.seed, bool)
-                or not isinstance(self.seed, (int, np.integer))
-                or self.seed < 0):
+        if not is_integer(self.seed) or self.seed < 0:
             raise ValueError(
                 f"seed must be an integer >= 0, got {self.seed!r}")
         if not math.isfinite(self.power_p):
@@ -181,18 +183,14 @@ def substream(seed: int, indices) -> list:
             for key in _philox_keys(seed, indices)]
 
 
-def complex_normal(rng, *shapes):
-    """Circularly-symmetric complex Gaussians, unit variance per entry.
-
-    `rng` is one generator, giving an array of each shape, or F per-frame
-    generators, giving (F,) + shape arrays with row f from rng[f].  Each
-    generator makes one standard_normal call: each shape's real parts,
-    then its imaginary parts, shape by shape, as one call per shape would
-    draw them.  One shape returns one array, several a list.  Scaling by
-    1/sqrt(2) gives the same bits as dividing the complex draw by sqrt(2).
+def complex_normal(rngs, *shapes):
+    """Circularly-symmetric complex Gaussians, unit variance per entry:
+    an (F,) + shape array per shape, row f from per-frame generator
+    rngs[f], which makes one standard_normal call: each shape's real
+    parts, then its imaginary parts, shape by shape, as one call per shape
+    would draw them.  One shape returns one array, several a list.  Scaling
+    by 1/sqrt(2) gives the same bits as dividing the complex draw by sqrt(2).
     """
-    single = isinstance(rng, np.random.Generator)
-    rngs = [rng] if single else rng
     shapes = [(s,) if np.ndim(s) == 0 else tuple(s) for s in shapes]
     ends = np.cumsum([0] + [2 * math.prod(s) for s in shapes])
     parts = np.empty((len(rngs), ends[-1]))
@@ -204,7 +202,7 @@ def complex_normal(rng, *shapes):
         block = parts[:, lo:hi].reshape((len(rngs), 2) + shape)
         out = np.empty((len(rngs),) + shape, dtype=complex)
         out.real, out.imag = block[:, 0], block[:, 1]
-        outs.append(out[0] if single else out)
+        outs.append(out)
     return outs[0] if len(outs) == 1 else outs
 
 

@@ -29,7 +29,7 @@ from .bitload import greedy_bitload_table
 from .modem import (MAX_BITS, BerEstimate, ber_awgn_instant, minil_avg_ber,
                     svd_avg_ber, bit_errors, modulate, demodulate)
 from .network import (NetworkConfig, check_count, complex_normal,
-                      random_bits, substream)
+                      is_integer, random_bits, substream)
 from .solvers import cross_gains, maxsinr_solve_batch, minil_solve_batch
 from .linalg import unit
 
@@ -289,10 +289,13 @@ def run_frames(cfg: NetworkConfig, mode: str, frame_indices,
     the bits are FRAME_USES times the bits of the streams the frame's
     design gives pair k.  The active pair of the single-pair benchmark
     rotates with the frame index.  Counts are identical however frames
-    are split across calls.
+    are split across calls.  Indices that are not integers are rejected.
     """
     check_mode_config(cfg, mode, loading)
-    frame_indices = [int(i) for i in frame_indices]
+    frame_indices = list(frame_indices)
+    for i in frame_indices:
+        if not is_integer(i):
+            raise ValueError(f"frame indices must be integers, got {i!r}")
     if not frame_indices:
         return np.zeros((0, cfg.k_pairs, 2), dtype=np.int64)
     rngs, h_hat, h, inits = _sample_frames(cfg, frame_indices,

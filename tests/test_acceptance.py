@@ -16,8 +16,8 @@ from conftest import draw_inits
 from exact_ber import exact_frame_ber, loaded_links
 from iasim.modem import ber_awgn_instant, minil_avg_ber, modulate
 from iasim.network import NetworkConfig
-from iasim.simulate import (_CHUNK_FRAMES, _estimates, estimate_ber,
-                            fig1_stats, sweep_cells)
+from iasim.simulate import (_CHUNK_FRAMES, _estimates, _executor,
+                            estimate_ber, fig1_stats, sweep_cells)
 from iasim.solvers import evaluate_true_sinr, minil_solve_batch
 
 pytestmark = pytest.mark.acceptance
@@ -224,30 +224,48 @@ def test_criterion_6_error_floor(cfg22):
            "need within 15%)")
 
 
+# Criteria 7 and 8 solve their frames directly.  Frames are independent,
+# so their solves run on one two-process pool, as criterion 9's do through
+# fig1_stats, with the serial results.
+
+def interference_mean(cfg):
+    """Mean true-channel interference of cfg's MinIL design, 10 000 frames."""
+    cs, inits = draw_inits(cfg, range(10_000))
+    sol = minil_solve_batch(cs.h_hat, cfg.power_p, cfg.iterations,
+                            inits[:, 0])
+    _, _, interf = evaluate_true_sinr(sol, cs.h)
+    return interf.mean()
+
+
 def test_criterion_7_residual_interference_power(cfg22):
+    cfgs = [replace(cfg22, epsilon=eps, power_p=p) for eps in (0.1, 0.5, 1.0)
+            for p in (10.0, 100.0)]
+    with _executor(2) as pool:
+        means = list(pool.map(interference_mean, cfgs))
     worst = 0.0
-    for eps in (0.1, 0.5, 1.0):
-        for p in (10.0, 100.0):
-            cfg = replace(cfg22, epsilon=eps, power_p=p)
-            cs, inits = draw_inits(cfg, range(10_000))
-            sol = minil_solve_batch(cs.h_hat, p, cfg.iterations, inits[:, 0])
-            _, _, interf = evaluate_true_sinr(sol, cs.h)
-            expect = eps * (cfg.k_pairs - 1) * p
-            rel = abs(interf.mean() - expect) / expect
-            worst = max(worst, rel)
-            assert rel <= 0.05, (eps, p, interf.mean(), expect)
+    for cfg, mean in zip(cfgs, means):
+        expect = cfg.epsilon * (cfg.k_pairs - 1) * cfg.power_p
+        rel = abs(mean - expect) / expect
+        worst = max(worst, rel)
+        assert rel <= 0.05, (cfg.epsilon, cfg.power_p, mean, expect)
     report(7, "residual interference power", True,
            f"worst deviation from eps*(K-1)*P = {worst:.2%} (need <= 5%)")
 
 
+def equivalent_channels(cfg, start, stop):
+    """Pair 0's z of the MinIL design at P = 100 on the true channels of
+    frames start..stop-1."""
+    cs, inits = draw_inits(cfg, range(start, stop))
+    return minil_solve_batch(cs.h, 100.0, cfg.iterations, inits[:, 0]).z[:, 0]
+
+
 def test_criterion_8_equivalent_channel_distribution(cfg22):
     frames = 100_000
-    z = np.empty(frames, dtype=complex)
-    chunk = 20_000
-    for start in range(0, frames, chunk):
-        cs, inits = draw_inits(cfg22, range(start, start + chunk))
-        sol = minil_solve_batch(cs.h, 100.0, cfg22.iterations, inits[:, 0])
-        z[start:start + chunk] = sol.z[:, 0]
+    starts = range(0, frames, 20_000)
+    with _executor(2) as pool:
+        z = np.concatenate(list(pool.map(
+            equivalent_channels, [cfg22] * len(starts), starts,
+            [start + 20_000 for start in starts])))
     z2 = np.abs(z) ** 2
     mean = z2.mean()
     ks = stats.kstest(z2, "expon")

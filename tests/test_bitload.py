@@ -7,12 +7,12 @@ from iasim import simulate
 from iasim.bitload import greedy_bitload_table
 from iasim.linalg import unit
 from iasim.modem import MAX_BITS, ber_awgn_instant
-from iasim.network import NetworkConfig, complex_normal
+from iasim.network import NetworkConfig
 from iasim.simulate import (Design, _ber_table, _design, _init_slots,
                             _sample_frames, _stream_design, _stream_gains)
 from iasim.solvers import IaSolution
-from oracles import (greedy_bitload, predicted_per_count, sinr_prediction,
-                     table_prediction)
+from oracles import (complex_normal, greedy_bitload, predicted_per_count,
+                     sinr_prediction, table_prediction)
 
 
 def weighted_ber(bits, ber_of, r):

@@ -14,22 +14,32 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import fingerprint  # noqa: E402
 import workloads  # noqa: E402
+from iasim.simulate import _executor  # noqa: E402
+
+
+def failed_cells(name, seed, out_dir):
+    """The cells of one repetition of workload `name` that miss its
+    fingerprint, each with the reason."""
+    wl = workloads.WORKLOADS[name]
+    rep = workloads.run_rep(wl, seed, out_dir)
+    return fingerprint.check_rep(wl, seed, rep, fingerprint.load())
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_every_seed_matches_fingerprint(name, tmp_path):
     # Each workload runs with its own worker count: the sweep's two
     # workers against its serial recording also check that counts do not
-    # depend on the worker count.
-    wl = workloads.WORKLOADS[name]
-    golden = fingerprint.load()
-    seeds = sorted(int(seed) for seed in golden[name])
+    # depend on the worker count.  The serial workloads' seeds share one
+    # two-process pool instead; each seed's counts are its own.
+    seeds = sorted(int(seed) for seed in fingerprint.load()[name])
     assert seeds == list(range(20))
-    failed = {}
-    for seed in seeds:
-        rep = workloads.run_rep(wl, seed, tmp_path / str(seed))
-        failed.update({f"seed {seed}: {key}": why for key, why in
-                       fingerprint.check_rep(wl, seed, rep, golden).items()})
+    serial = workloads.WORKLOADS[name].workers == 1
+    with _executor(2 if serial else 1) as pool:
+        checks = list(pool.map(failed_cells, [name] * len(seeds), seeds,
+                               [tmp_path / str(seed) for seed in seeds]))
+    failed = {f"seed {seed}: {key}": why
+              for seed, check in zip(seeds, checks)
+              for key, why in check.items()}
     assert failed == {}
 
 

@@ -167,7 +167,16 @@ def test_unit_norms(rng):
 
 
 # The kernels against their unfused forms in oracles, byte for byte: a
-# changed -0.0 fails, as would a NaN where the other has a number.
+# changed -0.0 fails, as would a NaN where the other has a number.  The
+# package runs a single matrix as a stack of one, so at batch shape ()
+# the oracle does too.
+
+def as_stack(oracle, a, *rest):
+    """oracle(a, *rest), run on a stack of one where a has no batch axis."""
+    if a.ndim > 2:
+        return oracle(a, *rest)
+    return oracle(a[None], *(x[None] for x in rest))[0]
+
 
 BATCHES = [(), (7,), (5, 3)]
 
@@ -184,11 +193,12 @@ ENTRY = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 3.0]),
 
 
 @st.composite
-def hermitian(draw, n, batch=None):
+def hermitian(draw, n, batch=None, elements=ENTRY):
     """A stack of Hermitian n x n matrices from drawn entries: signed
     zeros, repeated values and subnormals included."""
     batch = draw(st.sampled_from(BATCHES)) if batch is None else batch
-    parts = draw(hnp.arrays(np.float64, batch + (n, n, 2), elements=ENTRY))
+    parts = draw(hnp.arrays(np.float64, batch + (n, n, 2),
+                            elements=elements))
     a = np.empty(batch + (n, n), complex)
     a.real, a.imag = parts[..., 0], parts[..., 1]
     upper = np.triu(np.ones((n, n), bool), 1)
@@ -208,7 +218,7 @@ def test_min_eigvec_bytes_match_unfused_oracle(a, psd, real, layout):
         a = np.ascontiguousarray(a.real)
     if layout:
         a = solver_layout(a)
-    assert_same_bytes(min_eigvec(a), oracles.closed_min_eigvec(a))
+    assert_same_bytes(min_eigvec(a), as_stack(oracles.closed_min_eigvec, a))
 
 
 def special_matrices(n):
@@ -289,7 +299,8 @@ def test_solve_posdef_bytes_match_stacked_oracle(q, psd, real, layout,
     if layout:
         q = solver_layout(q)
     with np.errstate(all="ignore"):
-        assert_same_bytes(solve_posdef(q, x), oracles.maxsinr_update(q, x))
+        assert_same_bytes(solve_posdef(q, x),
+                          as_stack(oracles.maxsinr_update, q, x))
 
 
 @pytest.mark.parametrize("batch", BATCHES)
@@ -311,7 +322,7 @@ def test_solve_posdef_matches_stacked_oracle_on_special_matrices(n, batch):
             d = np.broadcast_to(d, batch + (n,)).copy()
             with np.errstate(all="ignore"):
                 assert_same_bytes(solve_posdef(q, d),
-                                  oracles.maxsinr_update(q, d))
+                                  as_stack(oracles.maxsinr_update, q, d))
 
 
 @pytest.mark.parametrize("power", 10.0 ** np.arange(-3, 19, 3))
@@ -345,3 +356,37 @@ def test_min_eigvec_4x4_matches_lapack_to_rounding(rng, batch):
     lead = np.take_along_axis(got, np.argmax(np.abs(got), axis=-1)[..., None],
                               axis=-1)
     assert np.all(np.abs(lead.imag) <= 1e-15) and np.all(lead.real > 0)
+
+
+# A single operand is a stack of one: min_eigvec(a), solve_posdef(q, x)
+# and unit(v) give the bytes of the same operand in a stack, at every
+# size, where scalar arithmetic would skip the FMA of numpy's array loops.
+# VECTOR's entries bring signed zeros and a subnormal into both operands.
+
+def solved(q, x):
+    """solve_posdef(q, x), or None where LAPACK finds I + Q singular."""
+    try:
+        return solve_posdef(q, x)
+    except np.linalg.LinAlgError:
+        return None
+
+
+@given(n=st.integers(1, 4), psd=st.booleans(), real=st.booleans(),
+       data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_single_operand_is_a_stack_of_one(n, psd, real, data):
+    a = data.draw(hermitian(n, batch=(), elements=VECTOR))
+    parts = data.draw(hnp.arrays(np.float64, (n, 2), elements=VECTOR))
+    v = np.empty(n, complex)
+    v.real, v.imag = parts[:, 0], parts[:, 1]
+    if psd:
+        a = a @ a.conj().T
+    if real:
+        a, v = np.ascontiguousarray(a.real), np.ascontiguousarray(v.real)
+    with np.errstate(all="ignore"):
+        assert_same_bytes(min_eigvec(a), min_eigvec(a[None])[0])
+        assert_same_bytes(unit(v), unit(v[None])[0])
+        got, want = solved(a, v), solved(a[None], v[None])
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert_same_bytes(got, want[0])

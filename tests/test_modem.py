@@ -13,7 +13,7 @@ from iasim.modem import (MAX_BITS, BerEstimate, ber_awgn_instant,
                          bit_errors, demodulate, erfc, minil_avg_ber,
                          modulate, qfunc, svd_avg_ber, _eigensum_coeffs,
                          _q_gamma_moment, _tables, _MAXLOG)
-from iasim.network import complex_normal
+from oracles import complex_normal
 
 
 class TestShapes:

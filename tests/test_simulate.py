@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from iasim import simulate
+from iasim import simulate, solvers
 from iasim.cli import FIG1_POWERS, preset
 from iasim.modem import minil_avg_ber
 from iasim.network import NetworkConfig
@@ -82,6 +82,18 @@ class TestReproducibility:
         parts = np.vstack([run_frames(cfg, "maxsinr", range(0, 11)),
                            run_frames(cfg, "maxsinr", range(11, 30))])
         assert np.array_equal(joint, parts)
+
+    @pytest.mark.parametrize("index", [0.5, 1.7, np.float64(2.0), True])
+    def test_non_integer_frame_index_rejected(self, index):
+        # Truncated, they would run other frames: 0.5 and 1.7 as frames 0
+        # and 1, True as frame 1.
+        with pytest.raises(ValueError, match="frame indices"):
+            run_frames(NetworkConfig(iterations=2), "svd", [3, index])
+
+    def test_numpy_integer_frame_index_accepted(self):
+        cfg = NetworkConfig(iterations=2)
+        assert np.array_equal(run_frames(cfg, "svd", [np.int64(4), 5]),
+                              run_frames(cfg, "svd", [4, 5]))
 
     def test_same_seed_identical_estimates(self, cfg):
         a = estimate_ber(cfg, "minil", 10.0, target_errors=50,
@@ -341,6 +353,25 @@ class TestFig1Stats:
         assert [row["power"] for row in rows] == FIG1_POWERS
         assert {row["beamforming_power"].hex() for row in rows} \
             == {self.FIG1_300_CEILING}
+
+    def test_fig1_rows_do_not_follow_the_solver_layout(self, monkeypatch):
+        # The solvers return z and the leakage pair-major, in einsum's
+        # output layout.  _fig1_frames copies each statistic into a
+        # C-ordered, pair-major (P, K, F) array, so frame-major outputs
+        # give the recorded bits too.
+        gains, layouts = solvers.cross_gains, []
+
+        def frame_major(*args):
+            g = gains(*args)
+            layouts.append(g.flags.c_contiguous)
+            return np.ascontiguousarray(g)
+
+        monkeypatch.setattr(solvers, "cross_gains", frame_major)
+        rows = fig1_stats(preset("fig1").cfg, FIG1_POWERS, frames=300)
+        assert layouts and not any(layouts)
+        assert [(row["avg_desired_power"].hex(),
+                 row["avg_interference"].hex()) for row in rows] \
+            == self.FIG1_300
 
     @pytest.mark.parametrize("workers", [0, -1, 2.5])
     def test_bad_worker_count_rejected(self, pools, workers):

@@ -5,9 +5,10 @@ import oracles
 from conftest import draw_inits
 from iasim import solvers
 from iasim.linalg import unit
-from iasim.network import NetworkConfig, complex_normal
+from iasim.network import NetworkConfig
 from iasim.solvers import (IaSolution, evaluate_true_sinr,
                            maxsinr_solve_batch, minil_solve_batch)
+from oracles import complex_normal
 
 
 def brute_force_leakage(k, u, v_all, h_row, powers):

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from iasim.network import NetworkConfig, complex_normal
+from iasim.network import NetworkConfig
 from iasim.simulate import _stream_design, _stream_gains
+from oracles import complex_normal
 
 
 def sm_design(direct):

@@ -17,7 +17,7 @@ import pytest
 import oracles
 from iasim import simulate
 from iasim.modem import demodulate, modulate
-from iasim.network import NetworkConfig, complex_normal, substream
+from iasim.network import NetworkConfig, substream
 from iasim.simulate import _BLOCK_FRAMES, FRAME_USES, _transmit
 
 
@@ -58,7 +58,7 @@ def transmit_frame(gains, bits_per_ch, powers, rng):
 def _batch(frames, n=3, seed=11):
     """Gains, loaded bits (0-6, with every count present) and powers."""
     r = np.random.default_rng(seed)
-    gains = complex_normal(r, (frames, n, n))
+    gains = oracles.complex_normal(r, (frames, n, n))
     gains[:, np.arange(n), np.arange(n)] *= 3.0
     bits = r.integers(0, 7, size=(frames, n))
     bits.flat[:7] = np.arange(7)[:bits.size]
